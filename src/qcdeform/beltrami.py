@@ -22,21 +22,21 @@ excision annulus.)  The radial integrals are one-sided with smooth kernels,
 so they discretize into dense matrices acting on ring profiles with no
 near-diagonal singularity; a pointwise all-pairs rule is unusable here
 because its quadrature error at the outermost radial nodes grows under
-iteration.
+iteration.  ``transforms._mode_operators`` builds these matrices together
+with their Cauchy counterparts, which give T and Pi inside the disk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ConvergenceError, DilatationBoundError, DivergenceError
-from .quadrature import PolarGrid, barycentric_matrix, gauss_legendre_01
-from .transforms import Density, cauchy_T
+from .quadrature import PolarGrid
+from .transforms import Density, _mode_operators, cauchy_T
 
 __all__ = ["NeumannResult", "solve_neumann", "QcMap", "build_map", "MapReport", "verify_map"]
 
@@ -47,49 +47,15 @@ class NeumannResult(NamedTuple):
     residual: float
 
 
-_PANEL = np.log(1.5)    # log-radius panel length for the one-sided integrals
-_N_TAIL = 52            # inward panels; kernel decays at least e^{-2 lam}, tail < 1e-18
-
-
-@lru_cache(maxsize=8)
 def _beurling_mode_matrices(n_rad: int, n_ang: int) -> np.ndarray:
     """Radial operators of the Beurling transform, one per FFT angular mode.
 
     mats[m] maps ring profiles g_k(t_j) to the shell integral at the radial
     nodes, for the signed mode k of FFT index m.  Radius-independent: both
-    integrals are scale-free in t/R.
+    integrals are scale-free in t/R.  Built and cached together with the
+    Cauchy operators by ``transforms._mode_operators``.
     """
-    t01, _ = gauss_legendre_01(n_rad)
-    gq, gw = np.polynomial.legendre.leggauss(20)
-    ks = np.where(np.arange(n_ang) < n_ang // 2,
-                  np.arange(n_ang), np.arange(n_ang) - n_ang)
-    mats = np.zeros((n_ang, n_rad, n_rad))
-    for i, s in enumerate(t01):
-        lam_s = np.log(s)
-        # outward side [s, 1] in log radius, uniform panels
-        n_up = max(1, int(np.ceil(-lam_s / _PANEL)))
-        edges = lam_s * (1.0 - np.arange(n_up + 1) / n_up)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        lam_up = (mid[:, None] + half[:, None] * gq[None, :]).ravel()
-        w_up = (half[:, None] * gw[None, :]).ravel()
-        # inward side, fixed geometric tail below s
-        edges = lam_s - _PANEL * np.arange(_N_TAIL, -1, -1)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        lam_dn = (mid[:, None] + half[:, None] * gq[None, :]).ravel()
-        w_dn = (half[:, None] * gw[None, :]).ravel()
-
-        e_up = barycentric_matrix(t01, np.exp(lam_up))
-        e_dn = barycentric_matrix(t01, np.exp(lam_dn))
-        kern = np.zeros((n_ang, len(lam_up) + len(lam_dn)))
-        for m, k in enumerate(ks):
-            if k >= 2:
-                kern[m, :len(lam_up)] = (
-                    2.0 * np.pi * (k - 1) * w_up * np.exp(-(k - 2) * (lam_up - lam_s)))
-            elif k <= 0:
-                kern[m, len(lam_up):] = (
-                    2.0 * np.pi * (1 - k) * w_dn * np.exp((2 - k) * (lam_dn - lam_s)))
-        mats[:, i, :] = kern @ np.vstack([e_up, e_dn])
-    return mats
+    return _mode_operators(n_rad, n_ang)[1]
 
 
 def _beurling_on_grid(grid: PolarGrid, values: np.ndarray) -> np.ndarray:

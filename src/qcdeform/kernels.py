@@ -8,7 +8,9 @@ used whenever it imports cleanly.  ``benchmarks/bench_kernels.py`` times the
 two paths against each other.
 
 All kernels take plain contiguous complex128/float64 arrays.  The quadrature
-sums here omit the -1/pi prefactor of the transforms; callers apply it.
+sums here omit the -1/pi prefactor of the transforms; callers apply it, and
+call them only at targets outside the support, where no node coincides with
+a target.
 """
 
 from __future__ import annotations
@@ -22,14 +24,11 @@ __all__ = [
     "HAS_NUMBA",
     "horner_many",
     "cauchy_sum",
-    "cauchy_sum_sub",
-    "beurling_sweep",
     "beurling_points",
     "series_exp",
 ]
 
 _CHUNK = 256  # target-block size for the numpy paths; keeps temporaries small
-_COINCIDENT = 1e-13  # |zeta - w| below this counts as the same point
 
 
 def _flag_disabled() -> bool:
@@ -72,43 +71,12 @@ def cauchy_sum_np(nodes, weights, rho, targets):
     return out
 
 
-def cauchy_sum_sub_np(nodes, weights, rho, targets, rho_t):
+def beurling_points_np(nodes, weights, rho, targets):
     out = np.empty(len(targets), dtype=np.complex128)
+    wr = weights * rho
     for lo in range(0, len(targets), _CHUNK):
-        block = targets[lo : lo + _CHUNK]
-        diff = nodes[None, :] - block[:, None]
-        num = weights[None, :] * (rho[None, :] - rho_t[lo : lo + _CHUNK, None])
-        mask = np.abs(diff) < _COINCIDENT
-        if mask.any():
-            diff = np.where(mask, 1.0, diff)
-            num = np.where(mask, 0.0, num)
-        out[lo : lo + _CHUNK] = (num / diff).sum(axis=1)
-    return out
-
-
-def beurling_sweep_np(nodes, weights, rho):
-    out = np.empty(len(nodes), dtype=np.complex128)
-    for lo in range(0, len(nodes), _CHUNK):
-        block = nodes[lo : lo + _CHUNK]
-        diff = nodes[None, :] - block[:, None]
-        num = weights[None, :] * (rho[None, :] - rho[lo : lo + _CHUNK, None])
-        mask = np.abs(diff) < _COINCIDENT
-        diff = np.where(mask, 1.0, diff)
-        num = np.where(mask, 0.0, num)
-        out[lo : lo + _CHUNK] = (num / (diff * diff)).sum(axis=1)
-    return out
-
-
-def beurling_points_np(nodes, weights, rho, targets, rho_t):
-    out = np.empty(len(targets), dtype=np.complex128)
-    for lo in range(0, len(targets), _CHUNK):
-        block = targets[lo : lo + _CHUNK]
-        diff = nodes[None, :] - block[:, None]
-        num = weights[None, :] * (rho[None, :] - rho_t[lo : lo + _CHUNK, None])
-        mask = np.abs(diff) < _COINCIDENT
-        diff = np.where(mask, 1.0, diff)
-        num = np.where(mask, 0.0, num)
-        out[lo : lo + _CHUNK] = (num / (diff * diff)).sum(axis=1)
+        diff = nodes[None, :] - targets[lo : lo + _CHUNK, None]
+        out[lo : lo + _CHUNK] = (wr / (diff * diff)).sum(axis=1)
     return out
 
 
@@ -152,48 +120,14 @@ if HAS_NUMBA:
         return out
 
     @_njit
-    def cauchy_sum_sub_nb(nodes, weights, rho, targets, rho_t):
+    def beurling_points_nb(nodes, weights, rho, targets):
         out = np.empty(targets.shape[0], dtype=np.complex128)
         for i in range(targets.shape[0]):
             acc = 0.0 + 0.0j
             w = targets[i]
-            rw = rho_t[i]
             for q in range(nodes.shape[0]):
                 d = nodes[q] - w
-                if abs(d) < _COINCIDENT:
-                    continue
-                acc += weights[q] * (rho[q] - rw) / d
-            out[i] = acc
-        return out
-
-    @numba.njit(cache=True, parallel=True)
-    def beurling_sweep_nb(nodes, weights, rho):
-        n = nodes.shape[0]
-        out = np.empty(n, dtype=np.complex128)
-        for i in numba.prange(n):
-            acc = 0.0 + 0.0j
-            zi = nodes[i]
-            ri = rho[i]
-            for q in range(n):
-                if q == i:
-                    continue
-                d = nodes[q] - zi
-                acc += weights[q] * (rho[q] - ri) / (d * d)
-            out[i] = acc
-        return out
-
-    @_njit
-    def beurling_points_nb(nodes, weights, rho, targets, rho_t):
-        out = np.empty(targets.shape[0], dtype=np.complex128)
-        for i in range(targets.shape[0]):
-            acc = 0.0 + 0.0j
-            w = targets[i]
-            rw = rho_t[i]
-            for q in range(nodes.shape[0]):
-                d = nodes[q] - w
-                if abs(d) < _COINCIDENT:
-                    continue
-                acc += weights[q] * (rho[q] - rw) / (d * d)
+                acc += weights[q] * rho[q] / (d * d)
             out[i] = acc
         return out
 
@@ -213,14 +147,10 @@ if HAS_NUMBA:
 if USING_NUMBA:
     horner_many = horner_many_nb
     cauchy_sum = cauchy_sum_nb
-    cauchy_sum_sub = cauchy_sum_sub_nb
-    beurling_sweep = beurling_sweep_nb
     beurling_points = beurling_points_nb
     series_exp = series_exp_nb
 else:
     horner_many = horner_many_np
     cauchy_sum = cauchy_sum_np
-    cauchy_sum_sub = cauchy_sum_sub_np
-    beurling_sweep = beurling_sweep_np
     beurling_points = beurling_points_np
     series_exp = series_exp_np

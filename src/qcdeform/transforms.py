@@ -5,21 +5,34 @@ The Cauchy transform used throughout is
     T rho (w) = -(1/pi) integral of rho(zeta) / (zeta - w) over the disk,
 
 and the Beurling transform is its w-derivative, a principal-value integral
-with kernel 1/(zeta - w)^2.  Both are entire-grid weighted sums outside the
-support; inside, the singularity is removed by subtracting rho(w), which for
-the Cauchy kernel leaves the indicator's closed form
+with kernel 1/(zeta - w)^2.  Outside the support both are weighted sums over
+the quadrature grid (upsampled for points within 1.25 radii of the center).
+
+Inside, both come from the angular Fourier modes of the grid samples.  On a
+disk of center c and radius R, a density g(t) e^{ik theta} in centered polar
+coordinates has, at w = c + s e^{i phi},
+
+    T = -2 e^{i(k-1) phi} int_s^R g(t) (s/t)^{k-1} dt          (k >= 1)
+    T = +2 e^{i(k-1) phi} int_0^s g(t) (t/s)^{1-k} dt          (k <= 0)
+
+and Pi is given by the formulas in ``beltrami`` on output mode k - 2, plus
+the local term e^{-2i phi} rho(w).  The one-sided radial integrals are
+discretized once per grid shape by ``_mode_operators`` (Daripa, SIAM J. Sci.
+Stat. Comput. 13, 1992); a density applies them to its ring profiles and
+the resulting output profiles are interpolated to the targets, radially by
+barycentric interpolation and in angle at the signed output frequencies.
+For the indicator this reproduces the closed forms
 
     T chi (w) = conj(w) - conj(center)        for w in the disk,
     T chi (w) = radius^2 / (w - center)       for w outside,
 
-and for the Beurling kernel contributes nothing (the indicator's transform
-vanishes inside).  The subtracted remainder is integrated on a polar grid
-re-centered at the evaluation point, where the integrand is smooth.
+and Pi chi = 0 inside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,6 +63,9 @@ __all__ = [
 _NEAR_FACTOR = 1.25
 _FINE_RAD = 2
 _FINE_ANG = 8
+
+_PANEL = np.log(1.5)    # log-radius panel length for the one-sided integrals
+_N_TAIL = 52            # inward panels; kernel decays at least e^{-2 lam}, tail < 1e-18
 
 
 @dataclass(frozen=True)
@@ -84,6 +100,75 @@ def _terms_fn(terms) -> Callable:
     return fn
 
 
+# ---------------------------------------------------------------------------
+# mode-space operators
+
+
+def _signed_freqs(n_ang: int) -> np.ndarray:
+    return np.fft.fftfreq(n_ang, d=1.0 / n_ang)
+
+
+@lru_cache(maxsize=8)
+def _mode_operators(n_rad: int, n_ang: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radial operators of T and Pi on the unit disk, one per FFT angular mode.
+
+    Returns (cauchy, beurling).  cauchy[m] maps the ring profile g_k(t_j) of
+    the signed mode k of FFT index m to the output profile of T at the radii
+    (0, t_1, ..., t_n); beurling[m] maps it to the shell integral of Pi at
+    (t_1, ..., t_n), before the -1/pi factor and the local term.  Both kinds
+    rest on the same one-sided integrals
+
+        int_s^1 g(t) (s/t)^{k-2} dt/t   (k >= 1),   int_0^s g(t) (t/s)^{2-k} dt/t   (k <= 0),
+
+    taken in log radius on uniform panels outward and a fixed geometric tail
+    inward, with g interpolated from the Gauss-Legendre nodes.  T's profiles
+    of modes k <= 1 are polynomials of degree n in s, so the extra radius 0,
+    where only mode 1 survives, makes their interpolation exact.
+    """
+    t01, w01 = gauss_legendre_01(n_rad)
+    gq, gw = np.polynomial.legendre.leggauss(20)
+    ks = _signed_freqs(n_ang)
+    up, dn = ks >= 1, ks <= 0
+    k_up, k_dn = ks[up][:, None], ks[dn][:, None]
+    cauchy = np.zeros((n_ang, n_rad + 1, n_rad))
+    beurling = np.zeros((n_ang, n_rad, n_rad))
+    cauchy[ks == 1, 0, :] = -2.0 * w01
+    for i, s in enumerate(t01):
+        lam_s = np.log(s)
+        # outward side [s, 1] in log radius, uniform panels
+        n_up = max(1, int(np.ceil(-lam_s / _PANEL)))
+        edges = lam_s * (1.0 - np.arange(n_up + 1) / n_up)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        lam_up = (mid[:, None] + half[:, None] * gq[None, :]).ravel()
+        w_up = (half[:, None] * gw[None, :]).ravel()
+        # inward side, fixed geometric tail below s
+        edges = lam_s - _PANEL * np.arange(_N_TAIL, -1, -1)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        lam_dn = (mid[:, None] + half[:, None] * gq[None, :]).ravel()
+        w_dn = (half[:, None] * gw[None, :]).ravel()
+
+        shell_up = (w_up * np.exp(-(k_up - 2) * (lam_up - lam_s))) @ barycentric_matrix(
+            t01, np.exp(lam_up))
+        shell_dn = (w_dn * np.exp((2 - k_dn) * (lam_dn - lam_s))) @ barycentric_matrix(
+            t01, np.exp(lam_dn))
+        # dt = t dlam turns the Cauchy weights (s/t)^{k-1} dt into s (s/t)^{k-2} dlam
+        cauchy[up, i + 1, :] = -2.0 * s * shell_up
+        cauchy[dn, i + 1, :] = 2.0 * s * shell_dn
+        beurling[up, i, :] = 2.0 * np.pi * (k_up - 1) * shell_up
+        beurling[dn, i, :] = 2.0 * np.pi * (1 - k_dn) * shell_dn
+    cauchy.setflags(write=False)
+    beurling.setflags(write=False)
+    return cauchy, beurling
+
+
+def _mode_sum(radii: np.ndarray, profiles: np.ndarray, freqs: np.ndarray,
+              u: np.ndarray) -> np.ndarray:
+    """sum_m p_m(|u|) e^{i freqs[m] arg u}, each p_m given by its values at radii."""
+    B = barycentric_matrix(radii, np.abs(u))            # (P, len(radii))
+    phase = np.exp(1j * np.outer(np.angle(u), freqs))   # (P, n_modes)
+    return ((B @ profiles) * phase).sum(axis=1)
+
+
 @dataclass(eq=False)
 class Density:
     """A bounded measurable coefficient on a disk.
@@ -99,7 +184,7 @@ class Density:
     fn: Callable | None = None
     terms: tuple | None = None  # ((coeff, pole, k), ...) meaning coeff * conj((z-pole)^-k)
     _fine: tuple | None = field(default=None, repr=False)
-    _interp: tuple | None = field(default=None, repr=False)
+    _expansions: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
@@ -191,22 +276,38 @@ class Density:
         z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
         if self.fn is not None:
             return np.asarray(self.fn(z), dtype=np.complex128)
-        if self._interp is None:
-            modes = np.fft.fft(self.grid.values_matrix(self.values), axis=1) / self.grid.n_ang
-            freqs = np.fft.fftfreq(self.grid.n_ang, d=1.0 / self.grid.n_ang)
-            # drop angular modes below relative noise; smooth densities keep few
-            peak = np.abs(modes).max(axis=0)
-            keep = peak > 1e-14 * max(peak.max(), 1e-300)
-            object.__setattr__(self, "_interp", (np.ascontiguousarray(modes[:, keep]),
-                                                 freqs[keep]))
-        modes, freqs = self._interp
-        u = z - self.disk.center
-        t = np.abs(u)
-        psi = np.angle(u)
-        B = barycentric_matrix(self.grid.t, t)          # (P, n_rad)
-        radial = B @ modes                              # (P, n_ang) per-mode values
-        phase = np.exp(1j * np.outer(psi, freqs))       # (P, n_ang)
-        return (radial * phase).sum(axis=1)
+        return _mode_sum(*self._expansion("density"), z - self.disk.center)
+
+    def _expansion(self, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(radii, profiles, freqs) of a mode expansion inside the disk.
+
+        The value at center + u is sum_m p_m(|u|) e^{i freqs[m] arg u}, with
+        p_m the polynomial through profiles[:, m] at radii.  kind "density"
+        is the interpolant of the grid samples, "cauchy" and "beurling" are
+        T and Pi of that interpolant; density mode k lands on output mode
+        k - 1 and k - 2 respectively.  Cached per density.
+        """
+        if kind not in self._expansions:
+            if kind == "density":
+                modes = np.fft.fft(self.grid.values_matrix(self.values), axis=1) / self.grid.n_ang
+                # drop angular modes below relative noise; smooth densities keep few
+                peak = np.abs(modes).max(axis=0)
+                keep = peak > 1e-14 * max(peak.max(), 1e-300)
+                entry = (self.grid.t, np.ascontiguousarray(modes[:, keep]),
+                         _signed_freqs(self.grid.n_ang)[keep])
+            else:
+                t, modes, freqs = self._expansion("density")
+                cauchy, beurling = _mode_operators(self.grid.n_rad, self.grid.n_ang)
+                idx = freqs.astype(int) % self.grid.n_ang
+                g = modes.T[:, :, None]                 # (n_modes, n_rad, 1)
+                if kind == "cauchy":
+                    entry = (np.concatenate([[0.0], t]),
+                             self.disk.radius * (cauchy[idx] @ g)[..., 0].T, freqs - 1)
+                else:
+                    # the local term e^{-2i phi} rho(w) rides on output mode k - 2
+                    entry = (t, modes - (beurling[idx] @ g)[..., 0].T / np.pi, freqs - 2)
+            self._expansions[kind] = entry
+        return self._expansions[kind]
 
     def fine_sum_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Upsampled (nodes, weights, values) for near-boundary exterior sums."""
@@ -253,38 +354,6 @@ def cauchy_chi(disk: Disk, w) -> np.ndarray:
     return out
 
 
-def _spider(rho: Density, targets: np.ndarray, kind: str,
-            n_rad: int | None = None, n_ang: int | None = None) -> np.ndarray:
-    """Singularity-removed integral over the disk on target-centered polar rays.
-
-    kind "cauchy":   integral of (rho(z)-rho(w))/(z-w)   dA
-    kind "beurling": integral of (rho(z)-rho(w))/(z-w)^2 dA
-    Both integrands are bounded after the polar change of variables.
-    """
-    disk = rho.disk
-    n_rad = n_rad or rho.grid.n_rad
-    n_ang = n_ang or rho.grid.n_ang
-    x, gw = gauss_legendre_01(n_rad)
-    phis = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    e = np.exp(1j * phis)
-    rho_w = rho.eval_points(targets)
-    out = np.empty(len(targets), dtype=np.complex128)
-    for i, w in enumerate(targets):
-        v = w - disk.center
-        b = np.real(np.conj(v) * e)
-        S = -b + np.sqrt(b * b + disk.radius**2 - abs(v) ** 2)
-        s = S[None, :] * x[:, None]                     # (n_rad, n_ang)
-        zeta = w + s * e[None, :]
-        dv = rho.eval_points(zeta.ravel()).reshape(s.shape) - rho_w[i]
-        if kind == "cauchy":
-            integrand = dv * np.conj(e)[None, :]
-        else:
-            integrand = dv / s * (np.conj(e) ** 2)[None, :]
-        radial = gw @ integrand                          # length n_ang
-        out[i] = (2.0 * np.pi / n_ang) * np.sum(S * radial)
-    return out
-
-
 def _route(rho: Density, w: np.ndarray):
     dist = np.abs(w - rho.disk.center)
     inside = dist < rho.disk.radius
@@ -293,7 +362,7 @@ def _route(rho: Density, w: np.ndarray):
     return inside, near, far
 
 
-def cauchy_T(rho: Density, w, n_rad: int | None = None, n_ang: int | None = None) -> np.ndarray:
+def cauchy_T(rho: Density, w) -> np.ndarray:
     """Cauchy transform of rho at points w (any mix of regimes)."""
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     out = np.empty(w.shape, dtype=np.complex128)
@@ -307,10 +376,7 @@ def cauchy_T(rho: Density, w, n_rad: int | None = None, n_ang: int | None = None
         s = kernels.cauchy_sum(nodes, weights, vals, np.ascontiguousarray(w[near]))
         out[near] = -s / np.pi
     if inside.any():
-        wi = np.ascontiguousarray(w[inside])
-        sub = _spider(rho, wi, "cauchy", n_rad, n_ang)
-        rho_w = rho.eval_points(wi)
-        out[inside] = -sub / np.pi + rho_w * np.conj(wi - rho.disk.center)
+        out[inside] = _mode_sum(*rho._expansion("cauchy"), w[inside] - rho.disk.center)
     return out
 
 
@@ -321,27 +387,23 @@ def asymptotic_T(rho: Density, w) -> np.ndarray:
     return rho_c * rho.disk.radius**2 / (w - rho.disk.center)
 
 
-def beurling_Pi(rho: Density, w, n_rad: int | None = None, n_ang: int | None = None) -> np.ndarray:
+def beurling_Pi(rho: Density, w) -> np.ndarray:
     """Beurling transform of rho at points w.
 
     Outside the support the kernel is smooth and the plain grid sum applies;
-    inside, the principal value reduces to the subtracted integral because the
-    indicator's Beurling transform vanishes there.
+    inside, the principal value comes from the per-mode shell integrals.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     out = np.empty(w.shape, dtype=np.complex128)
     inside, near, far = _route(rho, w)
-    zero = np.zeros(int(far.sum()), dtype=np.complex128)
     if far.any():
         s = kernels.beurling_points(rho.grid.nodes, rho.grid.weights, rho.values,
-                                    np.ascontiguousarray(w[far]), zero)
+                                    np.ascontiguousarray(w[far]))
         out[far] = -s / np.pi
     if near.any():
         nodes, weights, vals = rho.fine_sum_arrays()
-        s = kernels.beurling_points(nodes, weights, vals, np.ascontiguousarray(w[near]),
-                                    np.zeros(int(near.sum()), dtype=np.complex128))
+        s = kernels.beurling_points(nodes, weights, vals, np.ascontiguousarray(w[near]))
         out[near] = -s / np.pi
     if inside.any():
-        wi = np.ascontiguousarray(w[inside])
-        out[inside] = -_spider(rho, wi, "beurling", n_rad, n_ang) / np.pi
+        out[inside] = _mode_sum(*rho._expansion("beurling"), w[inside] - rho.disk.center)
     return out

@@ -131,3 +131,19 @@ def test_verify_map_passes_for_smooth_dilatation():
     assert rep.dilatation_error < 5e-3
     assert rep.conformality_error < 1e-8
     assert rep.jacobian_min > 0.0
+
+
+def test_verify_map_passes_for_multi_mode_neumann_output():
+    # three conjugated pole terms of orders 1-3, poles 1.6-1.8 radii out, give
+    # a dilatation with many angular modes; rho from the Neumann series is
+    # grid samples only, so every interior map value comes from its modes
+    disk = Disk(0.2 - 0.3j, 0.9)
+    poles = disk.center + disk.radius * np.array([1.6, 1.7j, -1.8 + 0.1j])
+    terms = [(1.0, poles[0], 1), (0.5j, poles[1], 2), (-0.7, poles[2], 3)]
+    shape = Density.from_terms(disk, terms)
+    mu = Density.from_terms(disk, [(0.3 * c / shape.sup, p, k) for c, p, k in terms])
+    rep = verify_map(build_map(mu))
+    assert rep.ok
+    assert rep.dilatation_error <= 1e-6
+    assert rep.conformality_error <= 1e-8
+    assert rep.jacobian_min > 0.0

@@ -148,3 +148,28 @@ def test_density_rejects_malformed_inputs():
         Density.from_grid(disk, np.ones(5, dtype=complex), base.grid)
     with pytest.raises(ValueError):
         Density(disk, base.grid, base.values, lambda z: np.zeros_like(z), base.terms)
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (0, 2), (2, 1), (5, 3), (1, 4)])
+def test_interior_transforms_of_grid_only_monomials(n, m):
+    # rho = u^n conj(u)^m with u = z - c; inside the disk
+    #   T rho  = u^n conj(u)^(m+1)/(m+1) - [n >= m+1] R^(2m+2) u^(n-m-1)/(m+1)
+    #   Pi rho = d/du of T rho
+    # The density carries grid samples only, so both come from its modes.
+    disk = Disk(0.3 - 0.4j, 1.2)
+    R = disk.radius
+    grid = Density.constant(disk, 0.0, n_rad=24, n_ang=64).grid
+    u_grid = grid.nodes - disk.center
+    rho = Density.from_grid(disk, u_grid**n * np.conj(u_grid) ** m, grid)
+    assert rho.fn is None
+    rng = np.random.default_rng(5)
+    rel = np.concatenate([[0.0, 0.999], 0.98 * np.sqrt(rng.random(10))])
+    u = R * rel * np.exp(2j * np.pi * rng.random(12))
+    want_T = u**n * np.conj(u) ** (m + 1) / (m + 1)
+    want_Pi = n * u ** max(n - 1, 0) * np.conj(u) ** (m + 1) / (m + 1)
+    if n >= m + 1:
+        want_T = want_T - R ** (2 * m + 2) * u ** (n - m - 1) / (m + 1)
+        want_Pi = want_Pi - (n - m - 1) * R ** (2 * m + 2) * u ** max(n - m - 2, 0) / (m + 1)
+    w = disk.center + u
+    assert np.max(np.abs(cauchy_T(rho, w) - want_T)) < 1e-12
+    assert np.max(np.abs(beurling_Pi(rho, w) - want_Pi)) < 1e-12
