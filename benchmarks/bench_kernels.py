@@ -1,10 +1,8 @@
-"""Time the numba kernels against their pure-numpy twins.
+"""Time the hot kernels of qcdeform.kernels.
 
-Run as `python3 benchmarks/bench_kernels.py [--repeats N]`.  Imports the
-kernels module with numba enabled (do not set QCDEFORM_NO_NUMBA here); both
-variants of each kernel are reachable directly, so the comparison runs in a
-single process.  Reported times are the best of N repeats after a warmup
-call that also covers JIT compilation.
+Run as `python3 benchmarks/bench_kernels.py [--repeats N]`.  Prints one row
+per kernel: its name, the problem size and the best of N timed calls after
+one warmup call.
 """
 
 import argparse
@@ -17,7 +15,7 @@ from qcdeform.quadrature import polar_grid
 
 
 def best_of(fn, args, repeats):
-    fn(*args)  # warmup; compiles the numba variant on first call
+    fn(*args)  # warmup
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -51,19 +49,12 @@ def main():
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
 
-    if not kernels.HAS_NUMBA:
-        print("numba is not importable; only the numpy path exists on this host")
-    print(f"numba active: {kernels.USING_NUMBA}")
-    header = f"{'kernel':<16} {'size':<24} {'numpy':>10} {'numba':>10} {'speedup':>8}"
+    header = f"{'kernel':<16} {'size':<24} {'best':>10}"
     print(header)
     print("-" * len(header))
     for name, size, argv in cases():
-        t_np = best_of(getattr(kernels, name + "_np"), argv, args.repeats)
-        row = f"{name:<16} {size:<24} {t_np * 1e3:>8.2f}ms"
-        if kernels.HAS_NUMBA:
-            t_nb = best_of(getattr(kernels, name + "_nb"), argv, args.repeats)
-            row += f" {t_nb * 1e3:>8.2f}ms {t_np / t_nb:>7.1f}x"
-        print(row)
+        t = best_of(getattr(kernels, name), argv, args.repeats)
+        print(f"{name:<16} {size:<24} {t * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ from .deform import (
     DeformationProblem,
     DeformationResult,
     build_mu0,
-    hnorm_of_composition,
     linearized_init,
     solve_deformation,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "build_mu0",
     "linearized_init",
     "solve_deformation",
-    "hnorm_of_composition",
     "schwarzian_of",
     "solve_schwarz",
     "invert_expansion",

@@ -16,14 +16,12 @@ import sys
 
 import numpy as np
 
-from . import kernels
 from .beltrami import build_map, verify_map
 from .config import DEFAULT_CONFIG, RunConfig
 from .deform import DeformationProblem, solve_deformation
 from .errors import QcdeformError
 from .extremal import FamilySpec, check_thm2_consistency, hsz_search
-from .quadrature import polar_grid
-from .ratfit import error_curve, fit_double_poles
+from .ratfit import DoublePoleRational, error_curve, fit_double_poles
 from .schwarzian import covering_radius, invert_expansion, schwarzian_of, solve_schwarz
 from .series import HoloSeries
 from .spaces import bergman, dirichlet, hardy
@@ -199,17 +197,7 @@ def _target_from_spec(doc: dict):
     if isinstance(spec, dict) and spec.get("kind") == "koebe_schwarzian":
         return lambda z: -6.0 / (1.0 - np.asarray(z, dtype=np.complex128) ** 2) ** 2
     if isinstance(spec, dict) and "poles" in spec:
-        angles = np.asarray(spec["poles"], dtype=np.float64)
-        strengths = _pairs_to_complex(spec["strengths"])
-
-        def fn(z):
-            z = np.asarray(z, dtype=np.complex128)
-            out = np.zeros(z.shape, dtype=np.complex128)
-            for a, d in zip(np.exp(1j * angles), strengths):
-                out += d / (z - a) ** 2
-            return out
-
-        return fn
+        return DoublePoleRational(spec["poles"], _pairs_to_complex(spec["strengths"]))
     series = _series_from_spec(spec)
     return lambda z: series.evaluate(z)
 
@@ -337,7 +325,7 @@ def _cmd_selftest(args) -> dict:
         "checks": [{"name": n, "max_error": e, "tol": t, "pass": bool(e <= t)}
                    for n, e, t in checks],
         "all_pass": all_ok,
-        "numba": kernels.USING_NUMBA,
+        "numba": False,  # report schema; the kernels have one numpy path
     }
 
 

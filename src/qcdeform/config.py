@@ -7,11 +7,9 @@ computed at.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
-__all__ = ["RunConfig", "DEFAULT_CONFIG", "thread_cap"]
+__all__ = ["RunConfig", "DEFAULT_CONFIG"]
 
 
 def _is_pow2(m: int) -> bool:
@@ -40,8 +38,6 @@ class RunConfig:
     neumann_max_terms: int = 20
     # hard ceiling on the dilatation sup-norm during solves
     kappa_max: float = 0.5
-    # reference size below which coefficient/norm shifts are considered small
-    eps0: float = 1e-2
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -73,21 +69,5 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
         return cls(**d)
 
-    @classmethod
-    def from_json_file(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 DEFAULT_CONFIG = RunConfig()
-
-
-def thread_cap() -> int | None:
-    """Parallelism ceiling from QCDEFORM_THREADS, or None when unset."""
-    raw = os.environ.get("QCDEFORM_THREADS")
-    if raw is None or raw == "":
-        return None
-    n = int(raw)
-    if n < 1:
-        raise ValueError("QCDEFORM_THREADS must be a positive integer")
-    return n

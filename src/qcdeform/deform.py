@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "build_mu0",
     "linearized_init",
     "solve_deformation",
-    "hnorm_of_composition",
 ]
 
 _COND_LIMIT = 1e12
@@ -186,17 +184,6 @@ def linearized_init(problem: DeformationProblem, mu0: Density) -> np.ndarray:
         raise IllConditionedBasisError(
             f"first-order deformation system has condition number {cond:.3g}")
     return np.linalg.solve(A, rhs)
-
-
-def hnorm_of_composition(space: SpaceSpec, f: HoloSeries, qcmap: QcMap,
-                         rho_s: float = 0.9, m: int = 512,
-                         n_rec: int = 128) -> tuple[float, HoloSeries]:
-    """Hilbert norm of h o f from circle samples, with the recovered series."""
-    z = rho_s * np.exp(2j * np.pi * np.arange(m) / m)
-    wv = f.evaluate(z)
-    hv = wv + cauchy_T(qcmap.rho, wv)
-    rec = coeffs_from_circle_samples(hv, rho_s, n_rec, alias_tol=1e-5)
-    return hilbert_norm(space, rec.series), rec.series
 
 
 @dataclass(eq=False)

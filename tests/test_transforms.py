@@ -173,3 +173,30 @@ def test_interior_transforms_of_grid_only_monomials(n, m):
     w = disk.center + u
     assert np.max(np.abs(cauchy_T(rho, w) - want_T)) < 1e-12
     assert np.max(np.abs(beurling_Pi(rho, w) - want_Pi)) < 1e-12
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (0, 2), (2, 1), (5, 3), (1, 4)])
+def test_exterior_transforms_of_grid_only_monomials(n, m):
+    # rho = u^n conj(u)^m with u = z - c; outside the disk, with U = w - c,
+    #   T rho  = R^(2m+2) / ((m+1) U^(m-n+1))              for m >= n,
+    #   Pi rho = -(m-n+1) R^(2m+2) / ((m+1) U^(m-n+2))     for m >= n,
+    # and both vanish for m < n.  The radii straddle the near/far handover
+    # at 1.25 R.
+    disk = Disk(0.3 - 0.4j, 1.2)
+    R = disk.radius
+    grid = Density.constant(disk, 0.0).grid
+    u_grid = grid.nodes - disk.center
+    rho = Density.from_grid(disk, u_grid**n * np.conj(u_grid) ** m, grid)
+    assert rho.fn is None
+    rng = np.random.default_rng(7)
+    rel = np.repeat([1.05, 1.1, 1.2, 1.249, 1.251, 1.3, 2.0, 5.0], 3)
+    U = R * rel * np.exp(2j * np.pi * rng.random(len(rel)))
+    want_T = np.zeros_like(U)
+    want_Pi = np.zeros_like(U)
+    if m >= n:
+        scale = R ** (2 * m + 2) / (m + 1)
+        want_T = scale / U ** (m - n + 1)
+        want_Pi = -(m - n + 1) * scale / U ** (m - n + 2)
+    w = disk.center + U
+    assert np.max(np.abs(cauchy_T(rho, w) - want_T)) < 1e-12
+    assert np.max(np.abs(beurling_Pi(rho, w) - want_Pi)) < 1e-10
