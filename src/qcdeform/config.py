@@ -20,7 +20,8 @@ def _is_pow2(m: int) -> bool:
 class RunConfig:
     # truncation degree of series arithmetic
     n_trunc: int = 64
-    # truncation degree used when a Hilbert norm is evaluated
+    # highest Taylor degree the deformation solve recovers from its circle
+    # samples; it is capped at m_samples // 4, which wins at the defaults (64)
     n_norm: int = 256
     # sampling circle radius for coefficient recovery
     rho_s: float = 0.9

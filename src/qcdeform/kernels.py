@@ -1,15 +1,15 @@
 """Hot numerical kernels, in plain numpy.
 
-Polynomial evaluation at many points (``horner_many``), the Cauchy and
-Beurling quadrature sums over a set of nodes (``cauchy_sum``,
-``beurling_points``) and the exponential recurrence of a power series
-(``series_exp``).  They live in one module so that callers and profilers
-can find them by name; ``benchmarks/bench_kernels.py`` times each of them.
+Polynomial evaluation at many points (``horner_many``), the Cauchy
+quadrature sum over a set of nodes (``cauchy_sum``) and the exponential
+recurrence of a power series (``series_exp``).  They live in one module so
+that callers and profilers can find them by name; perfbench traces
+``horner_many`` and ``cauchy_sum`` by these module attributes.
 
 All kernels take plain contiguous complex128/float64 arrays.  The quadrature
-sums here omit the -1/pi prefactor of the transforms; callers apply it, and
-call them only at targets outside the support, where no node coincides with
-a target.
+sum omits the -1/pi prefactor of the transform; its one caller applies it,
+and calls it only at targets far outside the support, where no node
+coincides with a target.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import numpy as np
 __all__ = [
     "horner_many",
     "cauchy_sum",
-    "beurling_points",
     "series_exp",
 ]
 
-_CHUNK = 256  # target-block size for the pair sums; keeps temporaries small
+_CHUNK = 256  # target-block size for the pair sum; keeps temporaries small
 
 
 def horner_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -39,15 +38,6 @@ def cauchy_sum(nodes, weights, rho, targets):
     for lo in range(0, len(targets), _CHUNK):
         block = targets[lo : lo + _CHUNK]
         out[lo : lo + _CHUNK] = (wr / (nodes[None, :] - block[:, None])).sum(axis=1)
-    return out
-
-
-def beurling_points(nodes, weights, rho, targets):
-    out = np.empty(len(targets), dtype=np.complex128)
-    wr = weights * rho
-    for lo in range(0, len(targets), _CHUNK):
-        diff = nodes[None, :] - targets[lo : lo + _CHUNK, None]
-        out[lo : lo + _CHUNK] = (wr / (diff * diff)).sum(axis=1)
     return out
 
 

@@ -3,8 +3,8 @@
 The standard grid is tensor Gauss-Legendre in the radius times a uniform
 (trapezoid) rule in the angle; the area element is folded into the weights,
 so integrals over the disk are plain weighted sums.  The helpers below also
-provide barycentric radial interpolation and FFT angular upsampling, which
-the transform evaluators use to resample densities off their native grid.
+provide barycentric radial interpolation, which the transform evaluators use
+to evaluate ring profiles off the Gauss-Legendre nodes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "polar_grid",
     "barycentric_weights",
     "barycentric_matrix",
-    "upsample_angular",
 ]
 
 
@@ -95,19 +94,3 @@ def barycentric_matrix(x: np.ndarray, xq: np.ndarray) -> np.ndarray:
         B[rows_exact, np.argmax(exact[rows_exact], axis=1)] = 1.0
     return B
 
-
-def upsample_angular(values: np.ndarray, factor: int) -> np.ndarray:
-    """Trigonometric upsampling along the last axis by an integer factor."""
-    if factor == 1:
-        return values
-    n = values.shape[-1]
-    modes = np.fft.fft(values, axis=-1)
-    m = n * factor
-    out = np.zeros(values.shape[:-1] + (m,), dtype=np.complex128)
-    half = n // 2
-    out[..., :half] = modes[..., :half]
-    out[..., m - half + 1 :] = modes[..., half + 1 :]
-    # split the Nyquist mode symmetrically
-    out[..., half] = 0.5 * modes[..., half]
-    out[..., m - half] = 0.5 * modes[..., half]
-    return np.fft.ifft(out, axis=-1) * factor

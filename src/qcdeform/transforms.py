@@ -5,12 +5,9 @@ The Cauchy transform used throughout is
     T rho (w) = -(1/pi) integral of rho(zeta) / (zeta - w) over the disk,
 
 and the Beurling transform is its w-derivative, a principal-value integral
-with kernel 1/(zeta - w)^2.  Outside the support both are weighted sums over
-the quadrature grid (upsampled for points within 1.25 radii of the center).
-
-Inside, both come from the angular Fourier modes of the grid samples.  On a
-disk of center c and radius R, a density g(t) e^{ik theta} in centered polar
-coordinates has, at w = c + s e^{i phi},
+with kernel 1/(zeta - w)^2.  Both come from the angular Fourier modes of the
+grid samples.  On a disk of center c and radius R, a density g(t) e^{ik theta}
+in centered polar coordinates has, at w = c + s e^{i phi} inside the disk,
 
     T = -2 e^{i(k-1) phi} int_s^R g(t) (s/t)^{k-1} dt          (k >= 1)
     T = +2 e^{i(k-1) phi} int_0^s g(t) (t/s)^{1-k} dt          (k <= 0)
@@ -21,6 +18,14 @@ discretized once per grid shape by ``_mode_operators`` (Daripa, SIAM J. Sci.
 Stat. Comput. 13, 1992); a density applies them to its ring profiles and
 the resulting output profiles are interpolated to the targets, radially by
 barycentric interpolation and in angle at the signed output frequencies.
+Outside, only the modes k = -j <= 0 contribute; with x = R/(w - c) they sum
+to a finite multipole series (Greengard & Rokhlin, J. Comput. Phys. 73, 1987)
+that holds up to the circle,
+
+    T = sum_j a_j x^{j+1},   Pi = -(x^2/R) sum_j (j+1) a_j x^j,
+    a_j = 2R int_0^1 g_{-j}(R t) t^{j+1} dt,
+
+though beyond 1.25 radii T is the plain weighted sum over the grid instead.
 For the indicator this reproduces the closed forms
 
     T chi (w) = conj(w) - conj(center)        for w in the disk,
@@ -45,7 +50,6 @@ from .quadrature import (
     barycentric_matrix,
     gauss_legendre_01,
     polar_grid,
-    upsample_angular,
 )
 
 __all__ = [
@@ -58,11 +62,9 @@ __all__ = [
     "beurling_Pi",
 ]
 
-# exterior points closer to the support than this factor of the radius get the
-# upsampled grid; beyond it the plain grid sum is already spectrally accurate
+# T of exterior points beyond this factor of the radius is the plain grid sum,
+# already spectrally accurate there; closer points use the multipole series
 _NEAR_FACTOR = 1.25
-_FINE_RAD = 2
-_FINE_ANG = 8
 
 _PANEL = np.log(1.5)    # log-radius panel length for the one-sided integrals
 _N_TAIL = 52            # inward panels; kernel decays at least e^{-2 lam}, tail < 1e-18
@@ -77,9 +79,6 @@ class Disk:
         if not self.radius > 0:
             raise ValueError("disk radius must be positive")
         object.__setattr__(self, "center", complex(self.center))
-
-    def contains(self, z, margin: float = 0.0):
-        return np.abs(np.asarray(z) - self.center) < self.radius - margin
 
     def gap_to(self, other_center: complex, other_radius: float) -> float:
         """Distance between this disk and the closed disk (center, radius)."""
@@ -183,7 +182,6 @@ class Density:
     values: np.ndarray
     fn: Callable | None = None
     terms: tuple | None = None  # ((coeff, pole, k), ...) meaning coeff * conj((z-pole)^-k)
-    _fine: tuple | None = field(default=None, repr=False)
     _expansions: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -309,17 +307,18 @@ class Density:
             self._expansions[kind] = entry
         return self._expansions[kind]
 
-    def fine_sum_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Upsampled (nodes, weights, values) for near-boundary exterior sums."""
-        if self._fine is None:
-            g = self.grid
-            fine = polar_grid(g.center, g.radius, g.n_rad * _FINE_RAD, g.n_ang * _FINE_ANG)
-            B = barycentric_matrix(g.t, fine.t)
-            vals = B @ self.grid.values_matrix(self.values)       # (fine n_rad, n_ang)
-            vals = upsample_angular(vals, _FINE_ANG)
-            object.__setattr__(self, "_fine", (fine.nodes, fine.weights,
-                                               np.ascontiguousarray(vals.ravel())))
-        return self._fine
+    def _multipole(self) -> np.ndarray:
+        """Exterior moments a_0, a_1, ... (module docstring), cached per density."""
+        if "multipole" not in self._expansions:
+            _, modes, freqs = self._expansion("density")
+            t01, w01 = gauss_legendre_01(self.grid.n_rad)
+            out = freqs <= 0
+            j = -freqs[out].astype(int)
+            a = np.zeros(1 - int(freqs.min(initial=0)), dtype=np.complex128)
+            a[j] = 2.0 * self.disk.radius * (w01[:, None] * t01[:, None] ** (j + 1)
+                                             * modes[:, out]).sum(axis=0)
+            self._expansions["multipole"] = a
+        return self._expansions["multipole"]
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +371,8 @@ def cauchy_T(rho: Density, w) -> np.ndarray:
                                np.ascontiguousarray(w[far]))
         out[far] = -s / np.pi
     if near.any():
-        nodes, weights, vals = rho.fine_sum_arrays()
-        s = kernels.cauchy_sum(nodes, weights, vals, np.ascontiguousarray(w[near]))
-        out[near] = -s / np.pi
+        x = rho.disk.radius / (w[near] - rho.disk.center)
+        out[near] = x * kernels.horner_many(rho._multipole(), x)
     if inside.any():
         out[inside] = _mode_sum(*rho._expansion("cauchy"), w[inside] - rho.disk.center)
     return out
@@ -390,20 +388,18 @@ def asymptotic_T(rho: Density, w) -> np.ndarray:
 def beurling_Pi(rho: Density, w) -> np.ndarray:
     """Beurling transform of rho at points w.
 
-    Outside the support the kernel is smooth and the plain grid sum applies;
+    Outside the support it is the w-derivative of T's multipole series;
     inside, the principal value comes from the per-mode shell integrals.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     out = np.empty(w.shape, dtype=np.complex128)
-    inside, near, far = _route(rho, w)
-    if far.any():
-        s = kernels.beurling_points(rho.grid.nodes, rho.grid.weights, rho.values,
-                                    np.ascontiguousarray(w[far]))
-        out[far] = -s / np.pi
-    if near.any():
-        nodes, weights, vals = rho.fine_sum_arrays()
-        s = kernels.beurling_points(nodes, weights, vals, np.ascontiguousarray(w[near]))
-        out[near] = -s / np.pi
+    u = w - rho.disk.center
+    inside = np.abs(u) < rho.disk.radius
+    if (~inside).any():
+        a = rho._multipole()
+        x = rho.disk.radius / u[~inside]
+        out[~inside] = -(x * x / rho.disk.radius) * kernels.horner_many(
+            np.arange(1, len(a) + 1) * a, x)
     if inside.any():
-        out[inside] = _mode_sum(*rho._expansion("beurling"), w[inside] - rho.disk.center)
+        out[inside] = _mode_sum(*rho._expansion("beurling"), u[inside])
     return out

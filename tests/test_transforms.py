@@ -53,7 +53,7 @@ def test_cauchy_T_of_indicator_in_all_regimes():
     disk = Disk(0.4 + 0.2j, 1.3)
     rho = Density.constant(disk, 1.0, n_rad=24, n_ang=64)
     rng = np.random.default_rng(7)
-    # relative radii cover the interior, the upsampled near band, and the
+    # relative radii cover the interior, the multipole near band, and the
     # plain far sum on both sides of the 1.25 handover
     rel = np.array([0.15, 0.6, 0.95, 1.05, 1.2, 1.6, 3.0, 8.0])
     w = disk.center + rel * disk.radius * np.exp(2j * np.pi * rng.random(8))
@@ -180,8 +180,8 @@ def test_exterior_transforms_of_grid_only_monomials(n, m):
     # rho = u^n conj(u)^m with u = z - c; outside the disk, with U = w - c,
     #   T rho  = R^(2m+2) / ((m+1) U^(m-n+1))              for m >= n,
     #   Pi rho = -(m-n+1) R^(2m+2) / ((m+1) U^(m-n+2))     for m >= n,
-    # and both vanish for m < n.  The radii straddle the near/far handover
-    # at 1.25 R.
+    # and both vanish for m < n.  The radii reach to within 1e-4 R of the
+    # circle and straddle T's near/far handover at 1.25 R.
     disk = Disk(0.3 - 0.4j, 1.2)
     R = disk.radius
     grid = Density.constant(disk, 0.0).grid
@@ -189,7 +189,7 @@ def test_exterior_transforms_of_grid_only_monomials(n, m):
     rho = Density.from_grid(disk, u_grid**n * np.conj(u_grid) ** m, grid)
     assert rho.fn is None
     rng = np.random.default_rng(7)
-    rel = np.repeat([1.05, 1.1, 1.2, 1.249, 1.251, 1.3, 2.0, 5.0], 3)
+    rel = np.repeat([1.0001, 1.001, 1.01, 1.02, 1.05, 1.1, 1.2, 1.249, 1.251, 1.3, 2.0, 5.0], 3)
     U = R * rel * np.exp(2j * np.pi * rng.random(len(rel)))
     want_T = np.zeros_like(U)
     want_Pi = np.zeros_like(U)
