@@ -2,11 +2,11 @@
 
 The model class is r(z) = sum_j d_j / (z - exp(i theta_j))^2 with all poles
 on the unit circle, the natural shape for Schwarzian-type targets.  Fitting
-alternates a weighted least-squares solve for the strengths d_j (weight
-(1 - |z|^2)^(p+1), which keeps boundary-singular targets square-integrable)
-with a golden-section sweep of one pole angle at a time, strengths refit
-inside the sweep objective.  Reported errors are growth-norm sups from
-:func:`qcdeform.spaces.bp_norm`.
+minimizes a weighted least-squares residual (weight (1 - |z|^2)^(p+1), which
+keeps boundary-singular targets square-integrable) by variable projection
+(Golub & Pereyra 1973): the strengths are a linear solve for given angles, and
+the angles take damped Gauss-Newton steps with Kaufman's (1975) Jacobian.
+Reported errors are growth-norm sups from :func:`qcdeform.spaces.bp_norm`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from .spaces import bp_norm
 
 __all__ = ["DoublePoleRational", "FitResult", "fit_double_poles", "error_curve"]
 
-_MIN_SEP = 1e-6  # radians; closer poles make the strength solve collapse
+# Exact targets converge in 6-25 steps (38 for poles 0.02 rad apart); fits
+# with a large residual converge linearly, and this caps their cost.
+_MAX_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class FitResult:
     rational: DoublePoleRational
     sup_error: float    # growth-norm sup of target - rational
     l2_residual: float  # weighted least-squares residual of the final solve
-    n_rounds: int
+    n_rounds: int       # Gauss-Newton steps tried
 
 
 def _sample_set(p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -59,103 +61,82 @@ def _sample_set(p: float) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
-def _strength_solve(wb: np.ndarray, z: np.ndarray, w: np.ndarray,
+def _strength_solve(b: np.ndarray, z: np.ndarray, w: np.ndarray,
                     angles: np.ndarray, real_strengths: bool):
+    """Strengths for fixed angles by real least squares, complex ones as the
+    columns [A, iA]; returns them, the residual M x - b and M."""
     A = w[:, None] / (z[:, None] - np.exp(1j * angles)[None, :]) ** 2
-    if real_strengths:
-        As = np.vstack([A.real, A.imag])
-        bs = np.concatenate([wb.real, wb.imag])
-        d, *_ = np.linalg.lstsq(As, bs, rcond=None)
-        resid = float(np.linalg.norm(As @ d - bs))
-        return d.astype(np.complex128), resid
-    d, *_ = np.linalg.lstsq(A, wb, rcond=None)
-    return d, float(np.linalg.norm(A @ d - wb))
+    if not real_strengths:
+        A = np.hstack([A, 1j * A])
+    M = np.vstack([A.real, A.imag])
+    x, *_ = np.linalg.lstsq(M, b, rcond=None)
+    n = len(angles)
+    d = x.astype(np.complex128) if real_strengths else x[:n] + 1j * x[n:]
+    return d, M @ x - b, M
 
 
-def _golden(fn, lo: float, hi: float, tol: float = 1e-13, max_iter: int = 90) -> float:
-    g = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - g * (hi - lo)
-    x2 = lo + g * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(max_iter):
-        if hi - lo < tol:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - g * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + g * (hi - lo)
-            f2 = fn(x2)
-    return 0.5 * (lo + hi)
-
-
-def _separate(angles: np.ndarray, n: int) -> bool:
-    if n < 2:
-        return True
-    a = np.sort(angles % (2.0 * np.pi))
-    gaps = np.diff(np.concatenate([a, [a[0] + 2.0 * np.pi]]))
-    return bool(np.min(gaps) > _MIN_SEP)
+def _angle_jacobian(z: np.ndarray, w: np.ndarray, angles: np.ndarray,
+                    d: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Kaufman's Jacobian: columns d(A d)/d theta_j with range(M) projected out."""
+    a = np.exp(1j * angles)
+    J = 2j * a * d * w[:, None] / (z[:, None] - a) ** 3
+    J = np.vstack([J.real, J.imag])
+    coef, *_ = np.linalg.lstsq(M, J, rcond=None)
+    return J - M @ coef
 
 
 def fit_double_poles(target, n_poles: int, p: float = 2.0,
                      real_strengths: bool = False,
-                     init_angles=None, rounds: int = 8) -> FitResult:
+                     init_angles=None) -> FitResult:
     """Best n-pole approximant of a callable target on the unit disk.
 
     Without init_angles the poles are placed greedily, each new one at the
     angle where the weighted residual of the previous fit peaks on a circle
-    near the boundary.
+    near the boundary.  Levenberg-Marquardt steps on the angles follow; a step
+    is kept only if it lowers the residual norm, and the loop stops when that
+    norm changes by no more than rounding, or after _MAX_STEPS steps.
     """
     if n_poles < 1:
         raise ValueError("need at least one pole")
     z, w = _sample_set(p)
     wb = w * np.asarray(target(z), dtype=np.complex128)
-
-    def resid_for(angles: np.ndarray) -> float:
-        return _strength_solve(wb, z, w, angles, real_strengths)[1]
+    b = np.concatenate([wb.real, wb.imag])
 
     if init_angles is None:
         scan = 2.0 * np.pi * np.arange(64) / 64
-        angles = np.array([scan[int(np.argmin([resid_for(np.array([t])) for t in scan]))]])
+        norms = [np.linalg.norm(_strength_solve(b, z, w, np.array([t]), real_strengths)[1])
+                 for t in scan]
+        angles = np.array([scan[int(np.argmin(norms))]])
         while len(angles) < n_poles:
-            d, _ = _strength_solve(wb, z, w, angles, real_strengths)
+            d, _, _ = _strength_solve(b, z, w, angles, real_strengths)
             angles = np.append(angles, _peak_angle(target, DoublePoleRational(angles, d), p))
     else:
         angles = np.asarray(init_angles, dtype=np.float64).copy()
         if len(angles) != n_poles:
             raise ValueError("init_angles length must equal n_poles")
 
-    span = np.pi / 8.0
-    perturbed = False
-    n_rounds = 0
-    for rnd in range(rounds):
-        n_rounds = rnd + 1
-        before = resid_for(angles)
-        for jj in range(n_poles):
-            def obj(t, jj=jj):
-                trial = angles.copy()
-                trial[jj] = t
-                return resid_for(trial)
-
-            angles[jj] = _golden(obj, angles[jj] - span, angles[jj] + span)
-        if not _separate(angles, n_poles):
-            if perturbed:
-                break
-            perturbed = True
-            order = np.argsort(angles % (2.0 * np.pi))
-            sa = (angles % (2.0 * np.pi))[order]
-            gaps = np.diff(np.concatenate([sa, [sa[0] + 2.0 * np.pi]]))
-            angles[order[int(np.argmin(gaps))]] += np.pi / (8.0 * n_poles)
-        after = resid_for(angles)
-        span = max(span * 0.35, 1e-4)
-        if before - after <= 1e-12 * max(after, 1e-300) and rnd > 0:
+    d, r, M = _strength_solve(b, z, w, angles, real_strengths)
+    norm = np.linalg.norm(r)
+    J = _angle_jacobian(z, w, angles, d, M)
+    damping = 1e-3  # relative to each Jacobian column's norm (Marquardt scaling)
+    for steps in range(1, _MAX_STEPS + 1):
+        scale = np.sqrt(damping) * np.linalg.norm(J, axis=0)
+        step, *_ = np.linalg.lstsq(np.vstack([J, np.diag(scale)]),
+                                   np.concatenate([-r, np.zeros(n_poles)]), rcond=None)
+        d_t, r_t, M = _strength_solve(b, z, w, angles + step, real_strengths)
+        norm_t = np.linalg.norm(r_t)
+        decrease = norm - norm_t
+        if decrease > 0.0:
+            angles, d, r, norm = angles + step, d_t, r_t, norm_t
+            J = _angle_jacobian(z, w, angles, d, M)
+            damping *= 0.1
+        else:
+            damping *= 10.0
+        if abs(decrease) <= 4.0 * np.finfo(float).eps * norm:
             break
-    d, resid = _strength_solve(wb, z, w, angles, real_strengths)
     rational = DoublePoleRational(angles, d)
     sup = bp_norm(lambda zz: np.asarray(target(zz)) - rational(zz), p)
-    return FitResult(rational, sup, resid, n_rounds)
+    return FitResult(rational, sup, float(norm), steps)
 
 
 def _peak_angle(target, rational: DoublePoleRational, p: float) -> float:

@@ -132,11 +132,9 @@ def a_leading_from_b(n: int, a1: complex, b0: complex, b1: complex = 0j) -> comp
         raise ValueError("n must be at least 1")
     sign = (-1.0) ** (n - 1)
     lead = sign * a1**n * b0 ** (n - 1)
+    # a_2 = -a1^2 b0 exactly; b1 first enters at a_3
     if n >= 3:
         lead -= sign * (n - 2) * a1 ** (n - 1) * b0 ** (n - 3) * b1
-    elif n == 2 and b1 != 0:
-        # a_2 = -a1^2 b0 exactly; b1 first enters at a_3
-        pass
     return complex(lead)
 
 

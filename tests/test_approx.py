@@ -20,8 +20,9 @@ def test_rational_evaluates_sum_of_double_poles():
     assert np.allclose(np.abs(r.poles), 1.0)
 
 
-def test_two_pole_target_recovered_exactly():
-    truth = DoublePoleRational((0.6, 2.9), (1.2 - 0.3j, 0.8 + 0.5j))
+@pytest.mark.parametrize("angles", [(0.6, 2.9), (0.6, 1.1)])
+def test_two_pole_target_recovered_exactly(angles):
+    truth = DoublePoleRational(angles, (1.2 - 0.3j, 0.8 + 0.5j))
     fit = fit_double_poles(truth, 2, p=2.0)
     a, d = _sorted_poles(fit.rational)
     ta, td = _sorted_poles(truth)
@@ -51,13 +52,17 @@ def test_real_strength_constraint_respected():
     assert np.max(np.abs(np.real(d) - np.array([0.7, 1.3]))) < 1e-8
 
 
-def test_error_curve_is_monotone_and_bottoms_out():
-    truth = DoublePoleRational((0.4, 2.0, 4.4), (1.0 + 0j, 0.6 - 0.2j, -0.3 + 0.8j))
+@pytest.mark.parametrize("angles, strengths", [
+    ((0.4, 2.0, 4.4), (1.0 + 0j, 0.6 - 0.2j, -0.3 + 0.8j)),
+    ((5.79, 0.99, 2.78), (-0.63 + 0.51j, -0.99 - 0.21j, 0.42 + 0.64j)),
+])
+def test_error_curve_is_monotone_and_bottoms_out(angles, strengths):
+    truth = DoublePoleRational(angles, strengths)
     errors, fits = error_curve(truth, 4)
     assert np.all(np.diff(errors) <= 1e-12)
     assert errors[2] < 1e-2 * errors[1]
     a, _ = _sorted_poles(fits[2].rational)
-    assert np.max(np.abs(a - np.array([0.4, 2.0, 4.4]))) < 1e-6
+    assert np.max(np.abs(a - np.sort(angles))) < 1e-6
     assert fits[2].l2_residual < 1e-8
     assert len(fits) == 4
     assert len(fits[3].rational.angles) == 4
