@@ -20,12 +20,12 @@ def _is_pow2(m: int) -> bool:
 class RunConfig:
     # truncation degree of series arithmetic
     n_trunc: int = 64
-    # highest Taylor degree the deformation solve recovers from its circle
-    # samples; it is capped at m_samples // 4, which wins at the defaults (64)
+    # truncation degree of the deformation solve: its residuals and norm use
+    # the Taylor coefficients 0 .. n_norm of h o f, with no further cap
     n_norm: int = 256
-    # sampling circle radius for coefficient recovery
+    # sampling circle radius of the deformation solve's one cross-check
     rho_s: float = 0.9
-    # number of circle samples; power of two, at least 4 * n_trunc
+    # number of cross-check circle samples; power of two, at least 4 * n_trunc
     m_samples: int = 256
     # disk quadrature: radial Gauss-Legendre x uniform angular
     n_rad: int = 48

@@ -12,10 +12,18 @@ with mu as small as the data allows.  The dilatation is sought in the span of
 conjugated kernel powers conj((zeta - c0)^-(k+1)) attached to the controlled
 coefficients plus a norm direction mu0 that is pairing-orthogonal to them,
 where c0 = f(0).  A first-order solve seeds a damped Newton iteration on the
-sampled residuals of the actual composed map.
+residuals of the actual composed map, computed in coefficient space:
 
-The k-th Taylor coefficient of T rho around c0 equals the area pairing of rho
-with (zeta - c0)^-(k+1); everything here rests on that identity.
+    coeff_k(h o f) = f_k + sum_m P[k, m] L_m,    P[k, m] = coeff_k((f - c0)^m),
+
+for k = 0 .. n_norm, with L_m the Taylor coefficients of T rho around c0.
+They come from rho's exterior multipole moments (``Density.taylor_coeffs``)
+and are exact for the grid interpolant of rho; a certified bound on the norm
+of the coefficients above n_norm guards the truncation, and one sampled
+recovery of the converged map cross-checks the result.
+
+L_m equals the area pairing of rho with (zeta - c0)^-(m+1); everything here
+rests on that identity.
 """
 
 from __future__ import annotations
@@ -27,10 +35,15 @@ import numpy as np
 
 from .beltrami import QcMap, build_map
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import ConvergenceError, DilatationBoundError, IllConditionedBasisError
+from .errors import (
+    ConvergenceError,
+    DilatationBoundError,
+    IllConditionedBasisError,
+    ResolutionError,
+)
 from .series import HoloSeries, coeffs_from_circle_samples
 from .spaces import SpaceSpec, hilbert_norm
-from .transforms import Density, Disk, cauchy_T, pairing
+from .transforms import Density, Disk, cauchy_T, local_matrix, pairing
 
 __all__ = [
     "DeformationProblem",
@@ -71,6 +84,9 @@ class DeformationProblem:
             raise ValueError("f must be a Taylor series centered at 0")
         if not 0 <= self.j < self.n:
             raise ValueError("need 0 <= j < n")
+        if self.config.n_norm < self.n:
+            raise ValueError(
+                f"n_norm {self.config.n_norm} is below the top controlled degree {self.n}")
         if len(self.d) != self.n - self.j:
             raise ValueError(f"d must list {self.n - self.j} shifts for k = j+1 .. n")
         if self.f.radius <= 1.0 and not np.isinf(self.f.radius):
@@ -125,39 +141,39 @@ def _mu_from_x(problem: DeformationProblem, mu0: Density, x: np.ndarray) -> Dens
     return Density.from_terms(problem.disk, terms, problem.config.n_rad, problem.config.n_ang)
 
 
-def _composition_powers(problem: DeformationProblem) -> tuple[np.ndarray, np.ndarray]:
-    """P[k, m] = coeff_k((f - c0)^m) and s[m] = ((f - c0)^m, f)_H, m = 0 .. L."""
-    fc = problem.f.coeffs.copy()
-    fc[0] = 0.0
-    L = max(problem.n, len(fc) - 1)
-    P = np.zeros((L + 1, L + 1), dtype=np.complex128)
-    P[0, 0] = 1.0
-    power = np.zeros(L + 1, dtype=np.complex128)
-    power[0] = 1.0
-    for m in range(1, L + 1):
-        power = np.convolve(power, fc)[: L + 1]
-        P[:, m] = power
-    w = problem.space.weights(L + 1)
-    cf = np.zeros(L + 1, dtype=np.complex128)
-    cf[: len(fc)] = problem.f.coeffs[: L + 1]
-    s = P.T @ (w * np.conj(cf))
-    return P, s
+def _composition_powers(problem: DeformationProblem,
+                        K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P[k, m] = coeff_k((f - c0)^m) and Q[k, m] the same for the majorant
+    sum_{k>=1} |f_k| z^k, for k, m = 0 .. K, and s[m] = ((f - c0)^m, f)_H.
+
+    Both matrices are lower-triangular, so their columns up to K hold every
+    coefficient up to K of every power.
+    """
+    fc = np.zeros(K + 1, dtype=np.complex128)
+    deg = min(len(problem.f.coeffs), K + 1)
+    fc[1:deg] = problem.f.coeffs[1:deg]
+    fa = np.abs(fc)
+    P = np.zeros((K + 1, K + 1), dtype=np.complex128)
+    Q = np.zeros((K + 1, K + 1))
+    P[0, 0] = Q[0, 0] = 1.0
+    for m in range(1, K + 1):
+        P[:, m] = np.convolve(P[:, m - 1], fc[:deg])[: K + 1]
+        Q[:, m] = np.convolve(Q[:, m - 1], fa[:deg])[: K + 1]
+    cf = fc.copy()
+    cf[0] = problem.c0
+    s = P.T @ (problem.space.weights(K + 1) * np.conj(cf))
+    return P, Q, s
 
 
 def linearized_init(problem: DeformationProblem, mu0: Density) -> np.ndarray:
     """First-order solve for (xi, tau): coefficient rows through the chain
     rule on (f - c0)-powers, one real row for the norm shift."""
     q = problem.n - problem.j
-    P, s = _composition_powers(problem)
-    L = P.shape[0] - 1
-    # pairing of each basis density with every kernel power up to L + 1
-    basis = [_basis_density(problem, k + 1) for k in problem.controlled]
-    lam = np.empty((L + 1, q + 1), dtype=np.complex128)
-    for m in range(L + 1):
-        phi = (problem.c0, m + 1)
-        for i, b in enumerate(basis):
-            lam[m, i] = pairing(b, phi)
-        lam[m, q] = pairing(mu0, phi)
+    L = max(problem.n, len(problem.f.coeffs) - 1)
+    P, _, s = _composition_powers(problem, L)
+    # Taylor coefficients at c0 of T of each basis density, orders 0 .. L
+    basis = [_basis_density(problem, k + 1) for k in problem.controlled] + [mu0]
+    lam = np.stack([b.taylor_coeffs(problem.c0, L) for b in basis], axis=1)
     norm_f = hilbert_norm(problem.space, problem.f)
     size = 2 * q + 1
     A = np.zeros((size, size))
@@ -199,6 +215,8 @@ class DeformationResult:
     m_est: float
     n_iter: int
     residual_trace: tuple
+    tail_bound: float   # bound on the norm of h o f's coefficients above n_norm
+    sampled_check: float  # largest gap to FFT recovery from circle samples
 
     def to_dict(self) -> dict:
         return {
@@ -214,28 +232,108 @@ class DeformationResult:
             "n_iter": self.n_iter,
             "neumann_terms": self.qcmap.n_terms,
             "residual_trace": list(self.residual_trace),
+            "tail_bound": self.tail_bound,
+            "sampled_check": self.sampled_check,
         }
 
 
-def _sample_setup(problem: DeformationProblem):
+def _tail_weights(problem: DeformationProblem, K: int,
+                  Q: np.ndarray) -> tuple[np.ndarray, float]:
+    """Weights W_j and a constant t_f such that sum_j |a_j| W_j + t_f bounds,
+    in the space's norm, the part of h o f above degree K, for any rho on
+    the disk with exterior moments a_j.
+
+    |L_m| <= B_m = sum_j |a_j| |M[m, j]| with M from ``local_matrix``, and
+    |coeff_k((f - c0)^m)| <= Q[k, m], whose columns sum to F^m with
+    F = sum_{k>=1} |f_k|.  Weights that do not grow past K bound the norm of
+    a tail by sqrt(w_{K+1}) times its l1 mass; growing ones (Dirichlet, at
+    most like k^2) by sqrt(w_{K+1}) / (K + 1) times its k-weighted mass, whose
+    columns sum to m F^{m-1} sum_k k |f_k|.  Over m > K the whole power lies
+    above K; that sum runs until the ratio test gives a geometric remainder,
+    which is added.  t_f is the exact norm of f's own coefficients above K.
+    """
+    cfg = problem.config
+    f = problem.f.coeffs
+    fa = np.abs(f[1:])
+    F = float(fa.sum())
+    F1 = float(np.arange(1, len(f)) @ fa)
+    w_far = problem.space.weights(4 * K + 8)[K + 1:]
+    grows = bool(np.any(np.diff(w_far) > 0))
+    m = np.arange(K + 1)
+    if grows:
+        scale = np.sqrt(w_far[0]) / (K + 1)
+        total = m * F ** np.maximum(m - 1, 0) * F1
+        kept = np.arange(K + 1) @ Q   # sum_k k Q[k, m]
+    else:
+        scale = np.sqrt(w_far[0])
+        total = F ** m
+        kept = Q.sum(axis=0)
+    M = np.abs(local_matrix(problem.disk.center, problem.disk.radius, problem.c0, K, cfg.n_ang))
+    W = np.maximum(total - kept, 0.0) @ M
+    d = abs(problem.disk.center - problem.c0)
+    t_f = float(np.sqrt(np.sum(problem.space.weights(len(f))[K + 1:] * np.abs(f[K + 1:]) ** 2)))
+    if F >= d:
+        return np.full(M.shape[1], np.inf), t_f
+    j = np.arange(M.shape[1])
+    term = M[K] * total[K]
+    mm = K + 1
+    while True:
+        ratio = (mm + j) / (mm * d) * F * (mm / (mm - 1) if grows else 1.0)
+        term = term * ratio
+        W += term
+        mm += 1
+        nxt = (mm + j) / (mm * d) * F * (mm / (mm - 1) if grows else 1.0)
+        if np.all(nxt < 1.0):
+            rest = term * nxt / (1.0 - nxt)
+            if np.all(rest <= 1e-6 * W):
+                return scale * (W + rest), t_f
+
+
+def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> float:
+    """Largest gap between c and the coefficients recovered by FFT from h o f
+    sampled on |z| = rho_s, over degrees k up to min(n_norm, m_samples / 4),
+    each scaled by rho_s^k.
+
+    The recovery divides the DFT of the samples by rho_s^k, so a sample
+    error e becomes up to e / 0.9^128 = 7e5 e at k = 128.  The scaled gap is
+    the gap between the two DFTs: how far the two computations of h o f
+    disagree on the circle.
+    """
     cfg = problem.config
     n_rec = min(cfg.n_norm, cfg.m_samples // 4)
-    z = cfg.rho_s * np.exp(2j * np.pi * np.arange(cfg.m_samples) / cfg.m_samples)
-    return problem.f.evaluate(z), n_rec
+    wv = problem.f.evaluate(cfg.rho_s * np.exp(2j * np.pi * np.arange(cfg.m_samples)
+                                               / cfg.m_samples))
+    rec = coeffs_from_circle_samples(wv + cauchy_T(qc.rho, wv), cfg.rho_s, n_rec, alias_tol=1e-5)
+    gap = np.abs(rec.series.coeffs[: n_rec + 1] - c[: n_rec + 1])
+    return float(np.max(gap * cfg.rho_s ** np.arange(n_rec + 1)))
 
 
 def solve_deformation(problem: DeformationProblem) -> DeformationResult:
-    """Damped Newton on the sampled shift residuals.
+    """Damped Newton on the coefficient-space shift residuals.
+
+    Each residual reads the Taylor coefficients 0 .. K of h o f, K = n_norm,
+    as f + P L: P[k, m] = coeff_k((f - c0)^m) and L the Taylor coefficients
+    of T rho at c0 (``Density.taylor_coeffs``).  They are exact for the grid
+    interpolant of rho; the norm is that of those K + 1 coefficients.  The
+    converged map is cross-checked once against FFT recovery from samples.
 
     Raises ConvergenceError when the first-order dilatation already exceeds
     the workable bound (the prescribed shifts are too large for the support
-    disk), when the iteration stagnates, or when the step budget runs out.
+    disk), when the iteration stagnates, or when the step budget runs out;
+    ResolutionError when the tail bound on the norm of the coefficients
+    above K exceeds norm_tol, or the cross-check disagrees by more than
+    coeff_tol.
     """
     problem.validate()
     cfg = problem.config
+    K = cfg.n_norm
     mu0 = build_mu0(problem)
     x = linearized_init(problem, mu0)
-    wv, n_rec = _sample_setup(problem)
+    P, Q, _ = _composition_powers(problem, K)
+    W, tail_f = _tail_weights(problem, K, Q)
+    deg = min(len(problem.f.coeffs), K + 1)
+    f_pad = np.zeros(K + 1, dtype=np.complex128)
+    f_pad[:deg] = problem.f.coeffs[:deg]
     norm_f = hilbert_norm(problem.space, problem.f)
     q = problem.n - problem.j
     targets = np.array([problem.f.coefficient(k) + problem.d[i]
@@ -254,31 +352,39 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
         if mu.sup >= cfg.kappa_max:
             raise DilatationBoundError(f"trial dilatation sup {mu.sup:.3g}")
         qc = build_map(mu, cfg)
-        hv = wv + cauchy_T(qc.rho, wv)
-        rec = coeffs_from_circle_samples(hv, cfg.rho_s, n_rec, alias_tol=1e-5)
+        a = qc.rho._multipole()
+        tail = float(np.abs(a) @ W[: len(a)]) + tail_f
+        if tail > cfg.norm_tol:
+            raise ResolutionError(
+                f"the coefficients of h o f above degree {K} may carry norm up to "
+                f"{tail:.3e} (tail bound), above norm_tol {cfg.norm_tol:.1e}; raise n_norm")
+        c = f_pad + P @ qc.rho.taylor_coeffs(problem.c0, K)
         r = np.empty(2 * q + 1)
         for i, k in enumerate(problem.controlled):
-            delta = rec.series.coefficient(k) - targets[i]
+            delta = c[k] - targets[i]
             r[2 * i], r[2 * i + 1] = delta.real, delta.imag
-        r[2 * q] = hilbert_norm(problem.space, rec.series) - (norm_f + problem.a)
-        return r, mu, qc, rec.series
+        r[2 * q] = hilbert_norm(problem.space, HoloSeries(c)) - (norm_f + problem.a)
+        return r, mu, qc, c, tail
 
     trace = []
-    r, mu, qc, g = residual(x)
+    r, mu, qc, c, tail = residual(x)
     history = [float(np.linalg.norm(r))]
     for it in range(cfg.newton_max_iter):
         trace.append(float(np.linalg.norm(r)))
         coeff_ok = np.max(np.abs(r[: 2 * q])) <= cfg.coeff_tol if q else True
         if coeff_ok and abs(r[2 * q]) <= cfg.norm_tol:
-            drift = float(max(abs(g.coefficient(k) - problem.f.coefficient(k))
-                              for k in range(problem.j + 1)))
+            check = _sampled_check(problem, qc, c)
+            if check > cfg.coeff_tol:
+                raise ResolutionError(
+                    f"sampled cross-check differs from the coefficient-space residual by "
+                    f"{check:.3e}, above coeff_tol {cfg.coeff_tol:.1e} (tail bound {tail:.3e})")
+            drift = float(np.max(np.abs(c[: problem.j + 1] - f_pad[: problem.j + 1])))
             eps = max(max((abs(v) for v in problem.d), default=0.0), abs(problem.a))
-            achieved = tuple(g.coefficient(k) - problem.f.coefficient(k)
-                             for k in problem.controlled)
+            achieved = tuple(c[k] - f_pad[k] for k in problem.controlled)
             return DeformationResult(
                 problem, mu, qc, achieved,
-                hilbert_norm(problem.space, g) - norm_f, drift, mu.sup, eps,
-                mu.sup / eps if eps > 0 else float("nan"), it, tuple(trace))
+                hilbert_norm(problem.space, HoloSeries(c)) - norm_f, drift, mu.sup, eps,
+                mu.sup / eps if eps > 0 else float("nan"), it, tuple(trace), tail, check)
 
         J = np.empty((2 * q + 1, 2 * q + 1))
         for col in range(2 * q + 1):
@@ -296,9 +402,9 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
         while lam >= 1.0 / 64:
             xt = x - lam * step
             if _mu_from_x(problem, mu0, xt).sup < cfg.kappa_max * (1.0 - 1e-3):
-                rt, mu_t, qc_t, g_t = residual(xt)
+                rt, mu_t, qc_t, c_t, tail_t = residual(xt)
                 if np.linalg.norm(rt) < rn * (1.0 - 0.25 * lam):
-                    x, r, mu, qc, g = xt, rt, mu_t, qc_t, g_t
+                    x, r, mu, qc, c, tail = xt, rt, mu_t, qc_t, c_t, tail_t
                     accepted = True
                     break
             lam *= 0.5

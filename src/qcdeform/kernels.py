@@ -22,7 +22,10 @@ __all__ = [
     "series_exp",
 ]
 
-_CHUNK = 256  # target-block size for the pair sum; keeps temporaries small
+# target-block size for the pair sum: a 16 x 6144 block of the default grid
+# stays in cache (1.5 MB per temporary); 256-target blocks were 5x slower
+# and held 25 MB temporaries
+_CHUNK = 16
 
 
 def horner_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -26,6 +26,13 @@ that holds up to the circle,
     a_j = 2R int_0^1 g_{-j}(R t) t^{j+1} dt,
 
 though beyond 1.25 radii T is the plain weighted sum over the grid instead.
+The same moments translate to the Taylor coefficients of T at any exterior
+point c0 (Greengard & Rokhlin's multipole-to-local step): with d = c - c0 and
+r = R/d,
+
+    L_m = sum_j a_j (-r)^{j+1} C(m+j, j) d^{-m},
+
+and L_m equals the area pairing of rho with (zeta - c0)^{-(m+1)}.
 For the indicator this reproduces the closed forms
 
     T chi (w) = conj(w) - conj(center)        for w in the disk,
@@ -58,6 +65,7 @@ __all__ = [
     "pairing",
     "cauchy_chi",
     "cauchy_T",
+    "local_matrix",
     "asymptotic_T",
     "beurling_Pi",
 ]
@@ -97,6 +105,40 @@ def _terms_fn(terms) -> Callable:
         return acc
 
     return fn
+
+
+def _terms_sup(disk: Disk, terms, n: int) -> float:
+    """Upper bound on the sup over the closed disk of |sum_i c_i conj((z - p_i)^-k_i)|.
+
+    The sum is the conjugate of g = sum_i conj(c_i) (z - p_i)^-k_i, holomorphic
+    near the closed disk, so its sup is attained on the circle (maximum modulus).  Let
+    G(theta) = g(c + R e^{i theta}), sampled at n uniform angles, and
+    h = pi / n the largest angle to the nearest sample.  Then
+    sup|G^(p)| <= max_s |G^(p)(s)| + h sup|G^(p+1)| for p = 0, 1, 2, with the
+    third derivative bounded term by term, and phi = |G|^2 exceeds its
+    sample max by at most (h^2 / 2) sup|phi''|, |phi''| <= 2 |G| |G''| + 2 |G'|^2.
+    """
+    c, R = disk.center, disk.radius
+    merged: dict = {}
+    for coeff, pole, k in terms:
+        merged[pole, k] = merged.get((pole, k), 0j) + coeff
+    e = np.exp(2j * np.pi * np.arange(n) / n)
+    z = c + R * e
+    g = np.zeros((3, n), dtype=np.complex128)
+    crude = np.zeros(4)   # sum_i |c_i| max over the circle of |d^p (z - p_i)^-k_i|
+    for (pole, k), coeff in merged.items():
+        fall = np.cumprod([1.0, -k, -k - 1, -k - 2])
+        for p in np.flatnonzero(fall[:3]):
+            g[p] += np.conj(coeff) * fall[p] * (z - pole) ** (-k - p)
+        # nearest (k > 0) or farthest (k < 0) circle point from the pole
+        base = abs(pole - c) + (-R if k > 0 else R)
+        crude += abs(coeff) * np.abs(fall) * base ** (-k - np.arange(4.0))
+    h = np.pi / n
+    d3 = R * crude[1] + 3 * R**2 * crude[2] + R**3 * crude[3]
+    d2 = float(np.max(np.abs(R * e * g[1] + R**2 * e**2 * g[2]))) + h * d3
+    d1 = float(np.max(R * np.abs(g[1]))) + h * d2
+    d0 = float(np.max(np.abs(g[0])))
+    return float(np.sqrt(d0**2 + 0.5 * h * h * (2 * (d0 + h * d1) * d2 + 2 * d1**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +200,27 @@ def _mode_operators(n_rad: int, n_ang: int) -> tuple[np.ndarray, np.ndarray]:
     cauchy.setflags(write=False)
     beurling.setflags(write=False)
     return cauchy, beurling
+
+
+@lru_cache(maxsize=8)
+def local_matrix(center: complex, radius: float, c0: complex, K: int,
+                 n_ang: int) -> np.ndarray:
+    """(K+1) x (n_ang//2 + 1) matrix taking the exterior moments a_j of a
+    density on Disk(center, radius) to the Taylor coefficients L_0..L_K of its
+    Cauchy transform at c0 (module docstring).
+
+    Row 0 is (-r)^{j+1}; row m is row m-1 times (m+j)/(m d), so no binomial
+    is ever formed.  Read-only and cached: it depends on the geometry only.
+    """
+    d = complex(center) - complex(c0)
+    if abs(d) <= radius * (1 + 1e-12):
+        raise SingularKernelError("expansion point touches the support disk")
+    j = np.arange(n_ang // 2 + 1)
+    m = np.arange(1, K + 1)[:, None]
+    rows = np.vstack([(-radius / d) ** (j + 1), (m + j) / (m * d)])
+    out = np.cumprod(rows, axis=0)
+    out.setflags(write=False)
+    return out
 
 
 def _mode_sum(radii: np.ndarray, profiles: np.ndarray, freqs: np.ndarray,
@@ -259,8 +322,16 @@ class Density:
 
     @property
     def sup(self) -> float:
-        """Sup-norm surrogate: the max over the quadrature grid."""
-        return float(np.max(np.abs(self.values)))
+        """Sup norm: certified (``_terms_sup``) for pole-term densities; for
+        grid-only densities the max over the quadrature grid, a surrogate
+        that can fall short of the true sup."""
+        if "sup" not in self._expansions:
+            if self.terms is None:
+                sup = float(np.max(np.abs(self.values)))
+            else:
+                sup = _terms_sup(self.disk, self.terms, 4 * self.grid.n_ang)
+            self._expansions["sup"] = sup
+        return self._expansions["sup"]
 
     # -- point evaluation ------------------------------------------------------
 
@@ -319,6 +390,14 @@ class Density:
                                              * modes[:, out]).sum(axis=0)
             self._expansions["multipole"] = a
         return self._expansions["multipole"]
+
+    def taylor_coeffs(self, c0: complex, K: int) -> np.ndarray:
+        """Taylor coefficients L_0..L_K of T rho at the exterior point c0,
+        L_m = pairing(rho, (c0, m + 1)), from the exterior moments."""
+        a = self._multipole()
+        M = local_matrix(self.disk.center, self.disk.radius, complex(c0), int(K),
+                         self.grid.n_ang)
+        return M[:, : len(a)] @ a
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ gives an oracle independent of the solver's own assembly.
 """
 
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from qcdeform import deform, transforms
 from qcdeform.config import RunConfig
 from qcdeform.deform import (
     DeformationProblem,
@@ -20,9 +22,9 @@ from qcdeform.deform import (
     linearized_init,
     solve_deformation,
 )
-from qcdeform.errors import ConvergenceError
+from qcdeform.errors import ConvergenceError, ResolutionError
 from qcdeform.series import HoloSeries
-from qcdeform.spaces import hardy
+from qcdeform.spaces import bergman, dirichlet, hardy
 from qcdeform.transforms import Disk, pairing
 
 DISK = Disk(2.2 + 0j, 1.1)
@@ -97,6 +99,9 @@ def test_problem_validation_rejects_bad_geometry():
         DeformationProblem(hardy(), f, DISK, 3, 3, (), 0.0, CFG).validate()
     with pytest.raises(ValueError, match="shifts"):
         DeformationProblem(hardy(), f, DISK, 1, 3, (0.01,), 0.0, CFG).validate()
+    with pytest.raises(ValueError, match="n_norm"):
+        DeformationProblem(hardy(), f, DISK, 1, 3, (0.01, 0.01), 0.0,
+                           CFG.with_updates(n_norm=2)).validate()
     small = HoloSeries(np.array([0.0, 1.0], dtype=complex), radius=0.8)
     with pytest.raises(ValueError, match="converge"):
         DeformationProblem(
@@ -114,3 +119,39 @@ def test_polynomial_f_warns_and_tailed_f_does_not():
         warnings.simplefilter("error")
         DeformationProblem(
             hardy(), tailed, DISK, 1, 3, (0.001, 0.001), 1e-4, CFG).validate()
+
+
+def _nonlinear_problem(space, config=RunConfig()) -> DeformationProblem:
+    f = HoloSeries(np.array([0.0, 1.0, 0.01, -0.005j, 0.003, 0.001]), radius=np.inf)
+    return DeformationProblem(space, f, DISK, 1, 3, (1e-3, 5e-4), 1e-4, config)
+
+
+@pytest.mark.parametrize("space", [hardy, bergman, dirichlet], ids=lambda s: s.__name__)
+def test_coefficient_residual_agrees_with_sampled_recovery(space, monkeypatch):
+    # Newton reads the coefficients of h o f from the density's moments; the
+    # one sampled Cauchy transform per solve is the independent check
+    calls = []
+    real = transforms.cauchy_T
+
+    def counted(rho, w):
+        calls.append(np.size(w))
+        return real(rho, w)
+
+    monkeypatch.setattr(transforms, "cauchy_T", counted)
+    monkeypatch.setattr(deform, "cauchy_T", counted)
+    res = solve_deformation(_nonlinear_problem(space()))
+    assert calls == [RunConfig().m_samples]
+    assert res.sampled_check <= 1e-12
+    assert 0.0 <= res.tail_bound <= RunConfig().norm_tol
+    doc = res.to_dict()
+    assert doc["sampled_check"] == res.sampled_check
+    assert doc["tail_bound"] == res.tail_bound
+    assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-3, 5e-4]))) < 1e-8
+
+
+def test_truncation_below_the_tail_is_refused_with_its_bound():
+    cfg = RunConfig().with_updates(n_norm=4)
+    with pytest.raises(ResolutionError, match="tail bound") as info:
+        solve_deformation(_nonlinear_problem(hardy(), cfg))
+    bound = float(re.search(r"up to (\S+) \(tail bound\)", str(info.value)).group(1))
+    assert bound > cfg.norm_tol

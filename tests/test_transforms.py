@@ -200,3 +200,43 @@ def test_exterior_transforms_of_grid_only_monomials(n, m):
     w = disk.center + U
     assert np.max(np.abs(cauchy_T(rho, w) - want_T)) < 1e-12
     assert np.max(np.abs(beurling_Pi(rho, w) - want_Pi)) < 1e-10
+
+
+def test_taylor_coeffs_of_indicator_closed_form():
+    # T chi = R^2 / (w - c) outside, so at c0 = 0 its Taylor coefficients
+    # are -R^2 c^-(m+1); the translation reaches m = 256 at rounding level
+    disk = Disk(2.2 + 0j, 1.1)
+    got = Density.constant(disk, 1.0).taylor_coeffs(0j, 256)
+    want = -disk.radius**2 * disk.center ** -(np.arange(257) + 1.0)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+def test_taylor_coeffs_match_pairings_of_a_neumann_output():
+    # L_m = pairing(rho, (c0, m+1)) on a grid-only density; the grid pairing
+    # is accurate to rounding at these low orders
+    from qcdeform.beltrami import build_map
+
+    disk = Disk(2.2 + 0j, 1.1)
+    mu = Density.from_terms(disk, [(0.05, 0j, 1), (0.03j, 0j, 2), (0.02, 0j, 3),
+                                   (-0.01, 0j, 4)])
+    rho = build_map(mu).rho
+    assert rho.terms is None
+    got = rho.taylor_coeffs(0j, 30)
+    want = np.array([pairing(rho, (0j, m + 1)) for m in range(31)])
+    assert np.max(np.abs(got - want)) < 1e-16
+
+
+def test_taylor_coeffs_refuse_a_point_on_the_disk():
+    with pytest.raises(SingularKernelError):
+        Density.constant(Disk(0j, 1.0), 1.0, n_rad=8, n_ang=16).taylor_coeffs(0.5, 4)
+
+
+def test_sup_of_term_density_is_certified_on_the_circle():
+    # |conj(z^-4)| peaks at 1.1^-4 = 0.683013 where the circle meets the
+    # real axis; the grid misses that point and reads 0.68134
+    mu = Density.from_terms(Disk(2.2 + 0j, 1.1), [(1.0, 0j, 4)])
+    peak = 1.1**-4
+    assert float(np.max(np.abs(mu.values))) == pytest.approx(0.68134, abs=1e-5)
+    assert peak <= mu.sup <= peak * (1 + 1e-3)
+    grid_only = Density.from_grid(mu.disk, mu.values, mu.grid)
+    assert grid_only.sup == pytest.approx(0.68134, abs=1e-5)
