@@ -30,10 +30,10 @@ class RunConfig:
     # disk quadrature: radial Gauss-Legendre x uniform angular
     n_rad: int = 48
     n_ang: int = 128
-    # Newton tolerances for the deformation solve
+    # largest coefficient and norm residuals the deformation solve accepts;
+    # coeff_tol also caps its cross-check and norm_tol its tail bound
     coeff_tol: float = 1e-8
     norm_tol: float = 1e-7
-    newton_max_iter: int = 30
     # Neumann series control
     neumann_tol: float = 1e-12
     neumann_max_terms: int = 20

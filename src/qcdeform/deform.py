@@ -6,21 +6,25 @@ increment a, the solver finds a dilatation mu on the disk whose normalized
 quasiconformal map h = w + T rho satisfies
 
     coeff_k(h o f) = coeff_k(f) + d_k    for k = j+1 .. n,
-    || h o f ||_H  = || f ||_H + a,
+    || h o f ||_H  = || f ||_H + a.
 
-with mu as small as the data allows.  The dilatation is sought in the span of
-conjugated kernel powers conj((zeta - c0)^-(k+1)) attached to the controlled
-coefficients plus a norm direction mu0 that is pairing-orthogonal to them,
-where c0 = f(0).  A first-order solve seeds a damped Newton iteration on the
-residuals of the actual composed map, computed in coefficient space:
+The dilatation is sought in the span of conjugated kernel powers
+conj((zeta - c0)^-(k+1)) attached to the controlled coefficients plus a norm
+direction mu0 that is pairing-orthogonal to them, where c0 = f(0).  The
+coefficients of the composed map are read in coefficient space:
 
     coeff_k(h o f) = f_k + sum_m P[k, m] L_m,    P[k, m] = coeff_k((f - c0)^m),
 
 for k = 0 .. n_norm, with L_m the Taylor coefficients of T rho around c0.
 They come from rho's exterior multipole moments (``Density.taylor_coeffs``)
-and are exact for the grid interpolant of rho; a certified bound on the norm
-of the coefficients above n_norm guards the truncation, and one sampled
-recovery of the converged map cross-checks the result.
+and are exact for the grid interpolant of rho.  On this span Pi mu vanishes
+in the disk (up to grid aliasing), so rho = mu and the coefficients are
+affine in the unknowns: the shift rows are one linear solve and the norm row
+one real quadratic (equality-constrained least squares, Golub & Van Loan,
+Matrix Computations, sec. 6.2), whose root with the smaller sup of mu is
+taken.  A certified bound on the norm above n_norm guards the truncation,
+and one sampled recovery of the map cross-checks it.  Coefficients 0 .. j
+are not held: mu0 moves coeff_0 by tau to first order (``drift_below``).
 
 L_m equals the area pairing of rho with (zeta - c0)^-(m+1); everything here
 rests on that identity.
@@ -132,19 +136,15 @@ def build_mu0(problem: DeformationProblem) -> Density:
 
 
 def _mu_from_x(problem: DeformationProblem, mu0: Density, x: np.ndarray) -> Density:
-    q = problem.n - problem.j
-    terms = []
-    for i, k in enumerate(problem.controlled):
-        terms.append((complex(x[2 * i], x[2 * i + 1]), problem.c0, k + 1))
-    tau = float(x[2 * q])
-    terms.extend((tau * c, p, kk) for c, p, kk in mu0.terms)
+    terms = [(complex(x[2 * i], x[2 * i + 1]), problem.c0, k + 1)
+             for i, k in enumerate(problem.controlled)]
+    terms += [(float(x[-1]) * c, p, kk) for c, p, kk in mu0.terms]
     return Density.from_terms(problem.disk, terms, problem.config.n_rad, problem.config.n_ang)
 
 
-def _composition_powers(problem: DeformationProblem,
-                        K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _composition_powers(problem: DeformationProblem, K: int) -> tuple[np.ndarray, np.ndarray]:
     """P[k, m] = coeff_k((f - c0)^m) and Q[k, m] the same for the majorant
-    sum_{k>=1} |f_k| z^k, for k, m = 0 .. K, and s[m] = ((f - c0)^m, f)_H.
+    sum_{k>=1} |f_k| z^k, for k, m = 0 .. K.
 
     Both matrices are lower-triangular, so their columns up to K hold every
     coefficient up to K of every power.
@@ -159,47 +159,45 @@ def _composition_powers(problem: DeformationProblem,
     for m in range(1, K + 1):
         P[:, m] = np.convolve(P[:, m - 1], fc[:deg])[: K + 1]
         Q[:, m] = np.convolve(Q[:, m - 1], fa[:deg])[: K + 1]
-    cf = fc.copy()
-    cf[0] = problem.c0
-    s = P.T @ (problem.space.weights(K + 1) * np.conj(cf))
-    return P, Q, s
+    return P, Q
 
 
-def linearized_init(problem: DeformationProblem, mu0: Density) -> np.ndarray:
-    """First-order solve for (xi, tau): coefficient rows through the chain
-    rule on (f - c0)-powers, one real row for the norm shift."""
-    q = problem.n - problem.j
-    L = max(problem.n, len(problem.f.coeffs) - 1)
-    P, _, s = _composition_powers(problem, L)
-    # Taylor coefficients at c0 of T of each basis density, orders 0 .. L
+def _affine_map(problem: DeformationProblem, mu0: Density,
+                P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, B) with c(x) = f + B x the coefficients 0 .. K of h o f for the real
+    unknowns x = (Re xi_1, Im xi_1, .., tau): P times the Taylor coefficients at
+    c0 of T of each basis density, mu0's last, with the column of xi_i repeated
+    times i for Im xi_i.  Exact when rho = mu (module docstring)."""
+    K = len(P) - 1
     basis = [_basis_density(problem, k + 1) for k in problem.controlled] + [mu0]
-    lam = np.stack([b.taylor_coeffs(problem.c0, L) for b in basis], axis=1)
-    norm_f = hilbert_norm(problem.space, problem.f)
-    size = 2 * q + 1
-    A = np.zeros((size, size))
-    rhs = np.zeros(size)
+    B = P @ np.stack([b.taylor_coeffs(problem.c0, K) for b in basis], axis=1)
+    cols = np.repeat(np.arange(len(basis)), 2)[:-1]
+    return problem.f.truncated(K).coeffs, B[:, cols] * np.tile([1, 1j], len(basis))[:-1]
 
-    def fill_complex_row(row: int, coeffs: np.ndarray, value: complex) -> None:
-        for i in range(q):
-            A[row, 2 * i], A[row, 2 * i + 1] = coeffs[i].real, -coeffs[i].imag
-            A[row + 1, 2 * i], A[row + 1, 2 * i + 1] = coeffs[i].imag, coeffs[i].real
-        A[row, 2 * q] = coeffs[q].real
-        A[row + 1, 2 * q] = coeffs[q].imag
-        rhs[row], rhs[row + 1] = value.real, value.imag
 
-    for idx, k in enumerate(problem.controlled):
-        alpha = P[k, : k + 1] @ lam[: k + 1]
-        fill_complex_row(2 * idx, alpha, problem.d[idx])
-    gamma = (s @ lam) / norm_f
-    for i in range(q):
-        A[2 * q, 2 * i], A[2 * q, 2 * i + 1] = gamma[i].real, -gamma[i].imag
-    A[2 * q, 2 * q] = gamma[q].real
-    rhs[2 * q] = problem.a
+def _re_im(v: np.ndarray) -> np.ndarray:
+    return np.concatenate([v.real, v.imag])
+
+
+def _first_order(problem: DeformationProblem, f: np.ndarray, B: np.ndarray,
+                 norm_f: float) -> np.ndarray:
+    """x solving the controlled rows of c(x) = f + B x, with the norm
+    linearized at f."""
+    g = (problem.space.weights(len(f)) * np.conj(f)) @ B / norm_f
+    A = np.vstack([_re_im(B[list(problem.controlled)]), g.real])
     cond = np.linalg.cond(A)
     if cond > _COND_LIMIT:
         raise IllConditionedBasisError(
             f"first-order deformation system has condition number {cond:.3g}")
-    return np.linalg.solve(A, rhs)
+    return np.linalg.solve(A, np.append(_re_im(np.array(problem.d)), problem.a))
+
+
+def linearized_init(problem: DeformationProblem, mu0: Density) -> np.ndarray:
+    """First-order solve for x = (Re xi_1, Im xi_1, .., tau): the controlled
+    rows of the affine map and its norm linearized at f, to degree max(n, deg f)."""
+    P, _ = _composition_powers(problem, max(problem.n, len(problem.f.coeffs) - 1))
+    return _first_order(problem, *_affine_map(problem, mu0, P),
+                        hilbert_norm(problem.space, problem.f))
 
 
 @dataclass(eq=False)
@@ -217,6 +215,8 @@ class DeformationResult:
     residual_trace: tuple
     tail_bound: float   # bound on the norm of h o f's coefficients above n_norm
     sampled_check: float  # largest gap to FFT recovery from circle samples
+    discriminant: float   # of the monic norm quadratic in tau
+    tau_roots: tuple      # its roots, the chosen one first
 
     def to_dict(self) -> dict:
         return {
@@ -234,6 +234,8 @@ class DeformationResult:
             "residual_trace": list(self.residual_trace),
             "tail_bound": self.tail_bound,
             "sampled_check": self.sampled_check,
+            "discriminant": self.discriminant,
+            "tau_roots": list(self.tau_roots),
         }
 
 
@@ -309,37 +311,37 @@ def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> flo
 
 
 def solve_deformation(problem: DeformationProblem) -> DeformationResult:
-    """Damped Newton on the coefficient-space shift residuals.
-
-    Each residual reads the Taylor coefficients 0 .. K of h o f, K = n_norm,
-    as f + P L: P[k, m] = coeff_k((f - c0)^m) and L the Taylor coefficients
-    of T rho at c0 (``Density.taylor_coeffs``).  They are exact for the grid
-    interpolant of rho; the norm is that of those K + 1 coefficients.  The
-    converged map is cross-checked once against FFT recovery from samples.
+    """Exact solve (module docstring): with c(x) = f + B x (``_affine_map``),
+    the controlled rows give xi = xi_0 + tau xi_1, so c = c* + tau v, and
+    ||c* + tau v||_H = ||f||_H + a is a real quadratic in tau.  One map is built.
 
     Raises ConvergenceError when the first-order dilatation already exceeds
-    the workable bound (the prescribed shifts are too large for the support
-    disk), when the iteration stagnates, or when the step budget runs out;
-    ResolutionError when the tail bound on the norm of the coefficients
-    above K exceeds norm_tol, or the cross-check disagrees by more than
-    coeff_tol.
+    the workable bound (the shifts are too large for the support disk) or when
+    the quadratic's discriminant is negative (no dilatation in the span holds
+    the shifts and reaches the norm); DilatationBoundError when the chosen
+    root's sup is at least kappa_max; ResolutionError when the tail bound on
+    the norm above K = n_norm exceeds norm_tol, when the built map misses the
+    targets by more than coeff_tol or norm_tol, or when the cross-check
+    disagrees by more than coeff_tol.
     """
     problem.validate()
     cfg = problem.config
     K = cfg.n_norm
+    ctrl = list(problem.controlled)
     mu0 = build_mu0(problem)
-    x = linearized_init(problem, mu0)
-    P, Q, _ = _composition_powers(problem, K)
+    P, Q = _composition_powers(problem, K)
+    f, B = _affine_map(problem, mu0, P)
     W, tail_f = _tail_weights(problem, K, Q)
-    deg = min(len(problem.f.coeffs), K + 1)
-    f_pad = np.zeros(K + 1, dtype=np.complex128)
-    f_pad[:deg] = problem.f.coeffs[:deg]
     norm_f = hilbert_norm(problem.space, problem.f)
-    q = problem.n - problem.j
-    targets = np.array([problem.f.coefficient(k) + problem.d[i]
-                        for i, k in enumerate(problem.controlled)])
+    norm_target = norm_f + problem.a
+    targets = f[ctrl] + np.array(problem.d)
 
-    sup0 = _mu_from_x(problem, mu0, x).sup
+    def residual(c: np.ndarray) -> np.ndarray:
+        norm_c = hilbert_norm(problem.space, HoloSeries(c))
+        return np.append(_re_im(c[ctrl] - targets), norm_c - norm_target)
+
+    x_lin = _first_order(problem, f, B, norm_f)
+    sup0 = _mu_from_x(problem, mu0, x_lin).sup
     bound = 0.9 * cfg.kappa_max
     if sup0 > bound:
         raise ConvergenceError(
@@ -347,74 +349,58 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
             f"{bound:.3g}; with this support disk only shifts roughly {bound / sup0:.2g} "
             "times the requested size are reachable")
 
-    def residual(xv: np.ndarray):
-        mu = _mu_from_x(problem, mu0, xv)
-        if mu.sup >= cfg.kappa_max:
-            raise DilatationBoundError(f"trial dilatation sup {mu.sup:.3g}")
-        qc = build_map(mu, cfg)
-        a = qc.rho._multipole()
-        tail = float(np.abs(a) @ W[: len(a)]) + tail_f
-        if tail > cfg.norm_tol:
-            raise ResolutionError(
-                f"the coefficients of h o f above degree {K} may carry norm up to "
-                f"{tail:.3e} (tail bound), above norm_tol {cfg.norm_tol:.1e}; raise n_norm")
-        c = f_pad + P @ qc.rho.taylor_coeffs(problem.c0, K)
-        r = np.empty(2 * q + 1)
-        for i, k in enumerate(problem.controlled):
-            delta = c[k] - targets[i]
-            r[2 * i], r[2 * i + 1] = delta.real, delta.imag
-        r[2 * q] = hilbert_norm(problem.space, HoloSeries(c)) - (norm_f + problem.a)
-        return r, mu, qc, c, tail
+    # the controlled rows give x = (x0 + tau x1, tau), so c = c_star + tau v
+    rows = _re_im(B[ctrl])
+    x0, x1 = np.linalg.solve(rows[:, :-1], np.column_stack(
+        [_re_im(np.array(problem.d)), -rows[:, -1]])).T
+    c_star = f + B[:, :-1] @ x0
+    v = B[:, -1] + B[:, :-1] @ x1
+    w = problem.space.weights(K + 1)
+    vv = float(w @ np.abs(v) ** 2)
+    cv = float(np.real(w @ (np.conj(c_star) * v)))
+    cc = float(w @ np.abs(c_star) ** 2)
+    # tau^2 + b tau + e = 0; its discriminant is the squared gap of the roots
+    b, e = 2.0 * cv / vv, (cc - norm_target ** 2) / vv
+    disc = b * b - 4.0 * e
+    if disc < 0.0:
+        floor = np.sqrt(max(cc - cv * cv / vv, 0.0)) - norm_f
+        raise ConvergenceError(
+            f"the norm equation in tau has discriminant {disc:.3g} < 0: holding the "
+            f"shifts, the norm shift cannot go below {floor:.3g}, and a = {problem.a:.3g}")
+    t1 = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+    roots = (t1, e / t1) if t1 != 0.0 else (0.0, 0.0)
+    cands = [(_mu_from_x(problem, mu0, np.append(x0 + t * x1, t)), float(t)) for t in roots]
+    (mu, tau), (_, other) = sorted(cands, key=lambda m_t: m_t[0].sup)
+    if mu.sup >= cfg.kappa_max:
+        raise DilatationBoundError(
+            f"the norm equation's roots tau = {tau:.3g}, {other:.3g} need dilatation sup "
+            f"{mu.sup:.3g} or more, at or above kappa_max {cfg.kappa_max:.3g}")
 
-    trace = []
-    r, mu, qc, c, tail = residual(x)
-    history = [float(np.linalg.norm(r))]
-    for it in range(cfg.newton_max_iter):
-        trace.append(float(np.linalg.norm(r)))
-        coeff_ok = np.max(np.abs(r[: 2 * q])) <= cfg.coeff_tol if q else True
-        if coeff_ok and abs(r[2 * q]) <= cfg.norm_tol:
-            check = _sampled_check(problem, qc, c)
-            if check > cfg.coeff_tol:
-                raise ResolutionError(
-                    f"sampled cross-check differs from the coefficient-space residual by "
-                    f"{check:.3e}, above coeff_tol {cfg.coeff_tol:.1e} (tail bound {tail:.3e})")
-            drift = float(np.max(np.abs(c[: problem.j + 1] - f_pad[: problem.j + 1])))
-            eps = max(max((abs(v) for v in problem.d), default=0.0), abs(problem.a))
-            achieved = tuple(c[k] - f_pad[k] for k in problem.controlled)
-            return DeformationResult(
-                problem, mu, qc, achieved,
-                hilbert_norm(problem.space, HoloSeries(c)) - norm_f, drift, mu.sup, eps,
-                mu.sup / eps if eps > 0 else float("nan"), it, tuple(trace), tail, check)
+    qc = build_map(mu, cfg)
+    moments = qc.rho._multipole()
+    tail = float(np.abs(moments) @ W[: len(moments)]) + tail_f
+    if tail > cfg.norm_tol:
+        raise ResolutionError(
+            f"the coefficients of h o f above degree {K} may carry norm up to "
+            f"{tail:.3e} (tail bound), above norm_tol {cfg.norm_tol:.1e}; raise n_norm")
+    c = f + P @ qc.rho.taylor_coeffs(problem.c0, K)
+    r = residual(c)
+    if np.max(np.abs(r[:-1])) > cfg.coeff_tol or abs(r[-1]) > cfg.norm_tol:
+        raise ResolutionError(
+            f"the built map misses the shifts by {np.max(np.abs(r[:-1])):.3e} (coeff_tol "
+            f"{cfg.coeff_tol:.1e}) and the norm by {abs(r[-1]):.3e} (norm_tol "
+            f"{cfg.norm_tol:.1e}); rho is not mu on this grid ({qc.n_terms} Neumann terms)")
+    check = _sampled_check(problem, qc, c)
+    if check > cfg.coeff_tol:
+        raise ResolutionError(
+            f"sampled cross-check differs from the coefficient-space residual by "
+            f"{check:.3e}, above coeff_tol {cfg.coeff_tol:.1e} (tail bound {tail:.3e})")
 
-        J = np.empty((2 * q + 1, 2 * q + 1))
-        for col in range(2 * q + 1):
-            h = 1e-6 * max(1.0, abs(x[col]))
-            xp = x.copy()
-            xp[col] += h
-            J[:, col] = (residual(xp)[0] - r) / h
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Newton system at iteration {it}") from exc
-
-        lam, accepted = 1.0, False
-        rn = np.linalg.norm(r)
-        while lam >= 1.0 / 64:
-            xt = x - lam * step
-            if _mu_from_x(problem, mu0, xt).sup < cfg.kappa_max * (1.0 - 1e-3):
-                rt, mu_t, qc_t, c_t, tail_t = residual(xt)
-                if np.linalg.norm(rt) < rn * (1.0 - 0.25 * lam):
-                    x, r, mu, qc, c, tail = xt, rt, mu_t, qc_t, c_t, tail_t
-                    accepted = True
-                    break
-            lam *= 0.5
-        if not accepted:
-            raise ConvergenceError(
-                f"line search failed at iteration {it} with residual {rn:.3g}")
-        history.append(float(np.linalg.norm(r)))
-        if len(history) > 5 and history[-1] > 0.8 * min(history[:-5]):
-            raise ConvergenceError(
-                f"residual stagnated near {history[-1]:.3g} after {it + 1} iterations")
-    raise ConvergenceError(
-        f"no convergence within {cfg.newton_max_iter} iterations; "
-        f"final residual {float(np.linalg.norm(r)):.3g}")
+    drift = float(np.max(np.abs(c[: problem.j + 1] - f[: problem.j + 1])))
+    eps = max(max((abs(s) for s in problem.d), default=0.0), abs(problem.a))
+    trace = (float(np.linalg.norm(residual(f + B @ x_lin))), float(np.linalg.norm(r)))
+    return DeformationResult(
+        problem, mu, qc, tuple(c[ctrl] - f[ctrl]),
+        hilbert_norm(problem.space, HoloSeries(c)) - norm_f, drift, mu.sup, eps,
+        mu.sup / eps if eps > 0 else float("nan"), 0, trace, tail, check,
+        float(disc), (tau, other))

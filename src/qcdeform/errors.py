@@ -30,7 +30,7 @@ class DivergenceError(QcdeformError):
 
 
 class ConvergenceError(QcdeformError):
-    """Iteration exhausted its budget without meeting tolerance."""
+    """Iteration exhausted its budget, or the target has no admissible solution."""
 
 
 class DilatationBoundError(QcdeformError):

@@ -50,7 +50,7 @@ class FitResult:
     rational: DoublePoleRational
     sup_error: float    # growth-norm sup of target - rational
     l2_residual: float  # weighted least-squares residual of the final solve
-    n_rounds: int       # Gauss-Newton steps tried
+    n_rounds: int       # Gauss-Newton steps tried, over both fits of a real cold start
 
 
 def _sample_set(p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -91,10 +91,10 @@ def fit_double_poles(target, n_poles: int, p: float = 2.0,
     """Best n-pole approximant of a callable target on the unit disk.
 
     Without init_angles the poles are placed greedily, each new one at the
-    angle where the weighted residual of the previous fit peaks on a circle
-    near the boundary.  Levenberg-Marquardt steps on the angles follow; a step
-    is kept only if it lowers the residual norm, and the loop stops when that
-    norm changes by no more than rounding, or after _MAX_STEPS steps.
+    angle where the weighted residual of the previous fit with complex
+    strengths peaks on a circle near the boundary.  With real strengths the
+    angles of the complex-strength fit are the start instead: the greedy
+    start can land in a wrong minimum of the real-strength residual.
     """
     if n_poles < 1:
         raise ValueError("need at least one pole")
@@ -102,19 +102,33 @@ def fit_double_poles(target, n_poles: int, p: float = 2.0,
     wb = w * np.asarray(target(z), dtype=np.complex128)
     b = np.concatenate([wb.real, wb.imag])
 
+    steps = 0
     if init_angles is None:
         scan = 2.0 * np.pi * np.arange(64) / 64
-        norms = [np.linalg.norm(_strength_solve(b, z, w, np.array([t]), real_strengths)[1])
+        norms = [np.linalg.norm(_strength_solve(b, z, w, np.array([t]), False)[1])
                  for t in scan]
         angles = np.array([scan[int(np.argmin(norms))]])
         while len(angles) < n_poles:
-            d, _, _ = _strength_solve(b, z, w, angles, real_strengths)
+            d, _, _ = _strength_solve(b, z, w, angles, False)
             angles = np.append(angles, _peak_angle(target, DoublePoleRational(angles, d), p))
+        if real_strengths:
+            angles, _, _, steps = _refine(b, z, w, angles, False)
     else:
         angles = np.asarray(init_angles, dtype=np.float64).copy()
         if len(angles) != n_poles:
             raise ValueError("init_angles length must equal n_poles")
 
+    angles, d, norm, more = _refine(b, z, w, angles, real_strengths)
+    rational = DoublePoleRational(angles, d)
+    sup = bp_norm(lambda zz: np.asarray(target(zz)) - rational(zz), p)
+    return FitResult(rational, sup, float(norm), steps + more)
+
+
+def _refine(b: np.ndarray, z: np.ndarray, w: np.ndarray, angles: np.ndarray,
+            real_strengths: bool):
+    """(angles, strengths, residual norm, steps tried) after Levenberg-Marquardt
+    steps on the angles, each kept only if it lowers the residual norm, until
+    that norm changes by no more than rounding or after _MAX_STEPS steps."""
     d, r, M = _strength_solve(b, z, w, angles, real_strengths)
     norm = np.linalg.norm(r)
     J = _angle_jacobian(z, w, angles, d, M)
@@ -122,7 +136,7 @@ def fit_double_poles(target, n_poles: int, p: float = 2.0,
     for steps in range(1, _MAX_STEPS + 1):
         scale = np.sqrt(damping) * np.linalg.norm(J, axis=0)
         step, *_ = np.linalg.lstsq(np.vstack([J, np.diag(scale)]),
-                                   np.concatenate([-r, np.zeros(n_poles)]), rcond=None)
+                                   np.concatenate([-r, np.zeros(len(angles))]), rcond=None)
         d_t, r_t, M = _strength_solve(b, z, w, angles + step, real_strengths)
         norm_t = np.linalg.norm(r_t)
         decrease = norm - norm_t
@@ -134,9 +148,7 @@ def fit_double_poles(target, n_poles: int, p: float = 2.0,
             damping *= 10.0
         if abs(decrease) <= 4.0 * np.finfo(float).eps * norm:
             break
-    rational = DoublePoleRational(angles, d)
-    sup = bp_norm(lambda zz: np.asarray(target(zz)) - rational(zz), p)
-    return FitResult(rational, sup, float(norm), steps)
+    return angles, d, norm, steps
 
 
 def _peak_angle(target, rational: DoublePoleRational, p: float) -> float:

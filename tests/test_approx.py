@@ -52,6 +52,17 @@ def test_real_strength_constraint_respected():
     assert np.max(np.abs(np.real(d) - np.array([0.7, 1.3]))) < 1e-8
 
 
+def test_real_strength_cold_start_leaves_the_wrong_minimum():
+    # the greedy start alone ends at angles (2.255, 3.216), l2 residual 14.14;
+    # starting from the complex-strength fit's angles recovers the target
+    truth = DoublePoleRational((2.268, 4.334), (1.028, 0.855))
+    fit = fit_double_poles(truth, 2, real_strengths=True)
+    assert fit.l2_residual <= 1e-10
+    a, d = _sorted_poles(fit.rational)
+    assert np.max(np.abs(a - np.array([2.268, 4.334]))) < 1e-8
+    assert np.max(np.abs(d - np.array([1.028, 0.855]))) < 1e-8
+
+
 @pytest.mark.parametrize("angles, strengths", [
     ((0.4, 2.0, 4.4), (1.0 + 0j, 0.6 - 0.2j, -0.3 + 0.8j)),
     ((5.79, 0.99, 2.78), (-0.63 + 0.51j, -0.99 - 0.21j, 0.42 + 0.64j)),

@@ -173,6 +173,32 @@ def test_deform_zero_target(tmp_path, capsys):
         assert abs(complex(*c)) <= 1e-10
 
 
+@pytest.mark.parametrize("a, error_type, named", [
+    (0.0, "ConvergenceError", "discriminant"),
+    (1e-5, "DilatationBoundError", "kappa_max"),
+])
+def test_deform_refusal_exits_2_with_its_type(tmp_path, capsys, a, error_type, named):
+    # Bergman, f = z + 0.01z^2 - 0.005i z^3 + 0.003z^4 + 0.001z^5 on
+    # Disk(2.2 e^{2i}, 1.1): no norm-preserving map holds these shifts, and
+    # the smaller root for a = 1e-5 needs sup 0.501
+    doc = {
+        "space": "bergman",
+        "f": [[0, 0], [1, 0], [0.01, 0], [0, -0.005], [0.003, 0], [0.001, 0]],
+        "disk": {"center": [2.2 * np.cos(2.0), 2.2 * np.sin(2.0)], "radius": 1.1},
+        "j": 1,
+        "n": 3,
+        "d": [[1e-3 * np.cos(3.0), 1e-3 * np.sin(3.0)], [5e-4, 0.0]],
+        "a": a,
+    }
+    path = write_doc(tmp_path, "prob.json", doc)
+    code, out, err = run(["deform", "--config", path], capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert report["error_type"] == error_type
+    assert named in report["error"]
+    assert err.startswith(error_type)
+
+
 def test_verify_constant_dilatation(tmp_path, capsys):
     doc = {
         "disk": {"center": [0.5, -0.2], "radius": 1.0},

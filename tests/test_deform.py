@@ -22,7 +22,7 @@ from qcdeform.deform import (
     linearized_init,
     solve_deformation,
 )
-from qcdeform.errors import ConvergenceError, ResolutionError
+from qcdeform.errors import ConvergenceError, DilatationBoundError, ResolutionError
 from qcdeform.series import HoloSeries
 from qcdeform.spaces import bergman, dirichlet, hardy
 from qcdeform.transforms import Disk, pairing
@@ -121,15 +121,16 @@ def test_polynomial_f_warns_and_tailed_f_does_not():
             hardy(), tailed, DISK, 1, 3, (0.001, 0.001), 1e-4, CFG).validate()
 
 
-def _nonlinear_problem(space, config=RunConfig()) -> DeformationProblem:
+def _nonlinear_problem(space, config=RunConfig(), a=1e-4, disk=DISK,
+                      d=(1e-3, 5e-4)) -> DeformationProblem:
     f = HoloSeries(np.array([0.0, 1.0, 0.01, -0.005j, 0.003, 0.001]), radius=np.inf)
-    return DeformationProblem(space, f, DISK, 1, 3, (1e-3, 5e-4), 1e-4, config)
+    return DeformationProblem(space, f, disk, 1, 3, d, a, config)
 
 
 @pytest.mark.parametrize("space", [hardy, bergman, dirichlet], ids=lambda s: s.__name__)
 def test_coefficient_residual_agrees_with_sampled_recovery(space, monkeypatch):
-    # Newton reads the coefficients of h o f from the density's moments; the
-    # one sampled Cauchy transform per solve is the independent check
+    # the solver reads the coefficients of h o f from the density's moments;
+    # the one sampled Cauchy transform per solve is the independent check
     calls = []
     real = transforms.cauchy_T
 
@@ -155,3 +156,54 @@ def test_truncation_below_the_tail_is_refused_with_its_bound():
         solve_deformation(_nonlinear_problem(hardy(), cfg))
     bound = float(re.search(r"up to (\S+) \(tail bound\)", str(info.value)).group(1))
     assert bound > cfg.norm_tol
+
+
+@pytest.mark.parametrize("space", [hardy, bergman, dirichlet], ids=lambda s: s.__name__)
+def test_norm_preserving_deformation_is_exact(space):
+    # a = 0: the shift rows are a linear solve and the norm row a quadratic
+    # in tau, so both residuals sit at rounding level with no iteration
+    res = solve_deformation(_nonlinear_problem(space(), a=0.0))
+    assert abs(res.achieved_a) <= 1e-14
+    assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-3, 5e-4]))) <= 1e-15
+    assert res.n_iter == 0
+    assert res.residual_trace[-1] < res.residual_trace[0]
+    doc = res.to_dict()
+    assert doc["discriminant"] == res.discriminant > 0.0
+    tau, other = doc["tau_roots"]
+    # the roots of the monic quadratic are sqrt(discriminant) apart
+    assert abs(tau - other) == pytest.approx(np.sqrt(res.discriminant), rel=1e-12)
+
+
+def _rotated_problem(a: float) -> DeformationProblem:
+    return _nonlinear_problem(bergman(), a=a, disk=Disk(2.2 * np.exp(2j), 1.1),
+                              d=(1e-3 * np.exp(3j), 5e-4))
+
+
+def test_unreachable_norm_is_refused_with_its_discriminant():
+    with pytest.raises(ConvergenceError, match="discriminant") as info:
+        solve_deformation(_rotated_problem(0.0))
+    msg = str(info.value)
+    assert -2e-5 < float(re.search(r"discriminant (\S+) <", msg).group(1)) < -1.5e-5
+    # the norm-shift floor the refusal names is where real roots begin
+    floor = float(re.search(r"cannot go below (\S+),", msg).group(1))
+    with pytest.raises(ConvergenceError, match="discriminant"):
+        solve_deformation(_rotated_problem(0.99 * floor))
+    with pytest.raises(DilatationBoundError):
+        solve_deformation(_rotated_problem(1.01 * floor))
+
+
+def test_root_above_kappa_max_is_refused_with_its_sup():
+    with pytest.raises(DilatationBoundError, match="kappa_max 0.5") as info:
+        solve_deformation(_rotated_problem(1e-5))
+    sup = float(re.search(r"sup (\S+) or more", str(info.value)).group(1))
+    assert 0.5 <= sup < 0.51
+
+
+def test_map_off_the_affine_solve_is_refused_with_its_residual():
+    # R / |c - c0| = 0.897: the grid aliases, Pi mu is not 0 there, so the
+    # map's rho moves off mu and its coefficients off the affine solve
+    cfg = RunConfig().with_updates(coeff_tol=1e-9)
+    with pytest.raises(ResolutionError, match="misses the shifts") as info:
+        solve_deformation(_nonlinear_problem(hardy(), cfg, disk=Disk(22.3 + 0j, 20.0)))
+    miss = float(re.search(r"misses the shifts by (\S+) ", str(info.value)).group(1))
+    assert miss > cfg.coeff_tol
