@@ -8,22 +8,9 @@ is the principal solution of the Beltrami equation dh/dwbar = mu * dh/dw
 normalized by h(w) = w + O(1/w) at infinity.  The density rho is built by the
 Neumann iteration above, which contracts at rate ||mu||_inf.
 
-Each Beurling application is done per angular Fourier mode: on a disk of
-center c, a density g(t) e^{ik theta} in centered polar coordinates has
-
-    p.v. (1/pi) II g e^{ik theta} / (zeta - z)^2 dA
-        = e^{i(k-2) phi} * 2 (k-1) int_s^R g(t) (s/t)^{k-2} dt/t      (k >= 1)
-        = e^{i(k-2) phi} * 2 (1-k)/s int_0^s g(t) (t/s)^{1-k} dt      (k <= 0)
-
-minus the local term e^{-2i phi} g(s) e^{ik phi}, at z = c + s e^{i phi}.
-(The local term converts the iterated shell-by-shell integral into the
-symmetric principal value; its phase comes from the orientation of the
-excision annulus.)  The radial integrals are one-sided with smooth kernels,
-so they discretize into dense matrices acting on ring profiles with no
-near-diagonal singularity; a pointwise all-pairs rule is unusable here
-because its quadrature error at the outermost radial nodes grows under
-iteration.  ``transforms._mode_operators`` builds these matrices together
-with their Cauchy counterparts, which give T and Pi inside the disk.
+Each Beurling application is ``Density.beurling_on_grid``: the density's
+angular modes through the per-mode radial operators of ``transforms``,
+summed back at the grid nodes.
 """
 
 from __future__ import annotations
@@ -35,8 +22,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ConvergenceError, DilatationBoundError, DivergenceError
-from .quadrature import PolarGrid
-from .transforms import Density, _mode_operators, cauchy_T
+from .transforms import Density, cauchy_T
 
 __all__ = ["NeumannResult", "solve_neumann", "QcMap", "build_map", "MapReport", "verify_map"]
 
@@ -47,52 +33,27 @@ class NeumannResult(NamedTuple):
     residual: float
 
 
-def _beurling_mode_matrices(n_rad: int, n_ang: int) -> np.ndarray:
-    """Radial operators of the Beurling transform, one per FFT angular mode.
-
-    mats[m] maps ring profiles g_k(t_j) to the shell integral at the radial
-    nodes, for the signed mode k of FFT index m.  Radius-independent: both
-    integrals are scale-free in t/R.  Built and cached together with the
-    Cauchy operators by ``transforms._mode_operators``.
-    """
-    return _mode_operators(n_rad, n_ang)[1]
-
-
-def _beurling_on_grid(grid: PolarGrid, values: np.ndarray) -> np.ndarray:
-    """Pi(values * chi_disk) at the grid's own nodes, via angular modes."""
-    v = values.reshape(grid.n_rad, grid.n_ang)
-    modes = np.fft.fft(v, axis=1)
-    mats = _beurling_mode_matrices(grid.n_rad, grid.n_ang)
-    shell = np.einsum("mij,jm->im", mats, modes)
-    # the density mode k lands on output mode k - 2
-    out = np.fft.ifft(np.roll(shell, -2, axis=1), axis=1)
-    local = np.exp(-2j * grid.angles)[None, :] * v
-    return (-out / np.pi + local).ravel()
-
-
-def solve_neumann(mu: Density, tol: float | None = None, max_terms: int | None = None,
-                  kappa_max: float | None = None) -> NeumannResult:
+def solve_neumann(mu: Density, config: RunConfig | None = None) -> NeumannResult:
     """Sum the Neumann series for rho on mu's grid.
 
-    Raises DilatationBoundError when ||mu||_inf reaches kappa_max,
-    DivergenceError when a term stops contracting, ConvergenceError when the
-    term budget runs out before the tail drops below tol.
+    Raises DilatationBoundError when ||mu||_inf reaches the config's
+    kappa_max, DivergenceError when a term stops contracting,
+    ConvergenceError when neumann_max_terms terms leave a tail above
+    neumann_tol.
     """
-    cfg = DEFAULT_CONFIG
-    tol = cfg.neumann_tol if tol is None else tol
-    max_terms = cfg.neumann_max_terms if max_terms is None else max_terms
-    kappa_max = cfg.kappa_max if kappa_max is None else kappa_max
+    cfg = config or DEFAULT_CONFIG
+    tol, max_terms = cfg.neumann_tol, cfg.neumann_max_terms
     kappa = mu.sup
-    if kappa >= kappa_max:
+    if kappa >= cfg.kappa_max:
         raise DilatationBoundError(
-            f"dilatation sup {kappa:.4g} is not below the admissible bound {kappa_max:.4g}")
+            f"dilatation sup {kappa:.4g} is not below the admissible bound {cfg.kappa_max:.4g}")
     term = mu.values.copy()
     total = term.copy()
     prev = float(np.max(np.abs(term)))
     scale = max(prev, 1e-300)
     n_terms = 1
     for _ in range(1, max_terms):
-        term = mu.values * _beurling_on_grid(mu.grid, term)
+        term = mu.values * Density.from_grid(mu.disk, term, mu.grid).beurling_on_grid()
         tn = float(np.max(np.abs(term)))
         total += term
         n_terms += 1
@@ -129,8 +90,7 @@ class QcMap:
 
 def build_map(mu: Density, config: RunConfig | None = None) -> QcMap:
     cfg = config or DEFAULT_CONFIG
-    rho, n_terms, residual = solve_neumann(
-        mu, cfg.neumann_tol, cfg.neumann_max_terms, cfg.kappa_max)
+    rho, n_terms, residual = solve_neumann(mu, cfg)
     return QcMap(mu, rho, n_terms, residual)
 
 

@@ -28,6 +28,7 @@ from .spaces import bergman, dirichlet, hardy
 from .transforms import Density, Disk, beurling_Pi, cauchy_T, cauchy_chi
 
 _SPACES = {"hardy": hardy, "bergman": bergman, "dirichlet": dirichlet}
+_ODE_ORDER = 64  # default truncation degree of the ``ode`` solution
 
 
 class _Usage(Exception):
@@ -172,7 +173,7 @@ def _cmd_ode(args) -> dict:
     doc = _load_json(args.input or args.config)
     cfg = _resolve_config(doc, args)
     s = _series_from_spec(doc)
-    n = int(doc.get("n", cfg.n_trunc))
+    n = int(doc.get("n", _ODE_ORDER))
     init = doc.get("init")
     if init is None:
         w0, w1, w2 = 0j, 1.0 + 0j, 0j
@@ -325,7 +326,6 @@ def _cmd_selftest(args) -> dict:
         "checks": [{"name": n, "max_error": e, "tol": t, "pass": bool(e <= t)}
                    for n, e, t in checks],
         "all_pass": all_ok,
-        "numba": False,  # report schema; the kernels have one numpy path
     }
 
 

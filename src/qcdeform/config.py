@@ -18,14 +18,13 @@ def _is_pow2(m: int) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    # truncation degree of series arithmetic
-    n_trunc: int = 64
     # truncation degree of the deformation solve: its residuals and norm use
     # the Taylor coefficients 0 .. n_norm of h o f, with no further cap
     n_norm: int = 256
     # sampling circle radius of the deformation solve's one cross-check
     rho_s: float = 0.9
-    # number of cross-check circle samples; power of two, at least 4 * n_trunc
+    # number of cross-check circle samples, a power of two, at least 4; the
+    # cross-check recovers degrees up to min(n_norm, m_samples // 4)
     m_samples: int = 256
     # disk quadrature: radial Gauss-Legendre x uniform angular
     n_rad: int = 48
@@ -42,13 +41,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_trunc < 4:
-            raise ValueError("n_trunc must be at least 4")
-        if not _is_pow2(self.m_samples) or self.m_samples < 4 * self.n_trunc:
-            raise ValueError(
-                "m_samples must be a power of two and at least 4 * n_trunc; "
-                f"got {self.m_samples} with n_trunc={self.n_trunc}"
-            )
+        if not _is_pow2(self.m_samples) or self.m_samples < 4:
+            raise ValueError(f"m_samples must be a power of two, at least 4; got {self.m_samples}")
         if not 0.0 < self.rho_s < 1.0:
             raise ValueError("rho_s must lie in (0, 1)")
         if not 0.0 < self.kappa_max < 1.0:

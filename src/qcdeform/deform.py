@@ -47,7 +47,7 @@ from .errors import (
 )
 from .series import HoloSeries, coeffs_from_circle_samples
 from .spaces import SpaceSpec, hilbert_norm
-from .transforms import Density, Disk, cauchy_T, local_matrix, pairing
+from .transforms import Density, Disk, cauchy_T, local_matrix
 
 __all__ = [
     "DeformationProblem",
@@ -116,14 +116,13 @@ def _basis_density(problem: DeformationProblem, order: int) -> Density:
 
 def build_mu0(problem: DeformationProblem) -> Density:
     """Norm-control direction: unit pairing with (zeta-c0)^-1, none with the
-    kernels of the controlled coefficients."""
+    kernels of the controlled coefficients.  The pairings are the Taylor
+    coefficients at c0 that ``_affine_map`` reads, so the orthogonality holds
+    in the solver's own discretization."""
     orders = [k + 1 for k in problem.controlled] + [1]
-    dens = [_basis_density(problem, a) for a in orders]
     m = len(orders)
-    gram = np.empty((m, m), dtype=np.complex128)
-    for i, rho_i in enumerate(dens):
-        for jj, b in enumerate(orders):
-            gram[i, jj] = pairing(rho_i, (problem.c0, b))
+    gram = np.stack([_basis_density(problem, a).taylor_coeffs(problem.c0, problem.n)
+                     for a in orders])[:, np.array(orders) - 1]
     cond = np.linalg.cond(gram)
     if cond > _COND_LIMIT:
         raise IllConditionedBasisError(

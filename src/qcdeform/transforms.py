@@ -12,12 +12,22 @@ in centered polar coordinates has, at w = c + s e^{i phi} inside the disk,
     T = -2 e^{i(k-1) phi} int_s^R g(t) (s/t)^{k-1} dt          (k >= 1)
     T = +2 e^{i(k-1) phi} int_0^s g(t) (t/s)^{1-k} dt          (k <= 0)
 
-and Pi is given by the formulas in ``beltrami`` on output mode k - 2, plus
-the local term e^{-2i phi} rho(w).  The one-sided radial integrals are
-discretized once per grid shape by ``_mode_operators`` (Daripa, SIAM J. Sci.
-Stat. Comput. 13, 1992); a density applies them to its ring profiles and
-the resulting output profiles are interpolated to the targets, radially by
-barycentric interpolation and in angle at the signed output frequencies.
+and its principal-value Beurling transform lands on output mode k - 2,
+
+    Pi = e^{i(k-2) phi} [g(s) - 2 (k-1) int_s^R g(t) (s/t)^{k-2} dt/t]   (k >= 1)
+    Pi = e^{i(k-2) phi} [g(s) - 2 (1-k) int_0^s g(t) (t/s)^{2-k} dt/t]   (k <= 0)
+
+where the local term g(s), that is e^{-2i phi} rho(w), turns the iterated
+shell-by-shell integral into the symmetric principal value (its phase comes
+from the orientation of the excision annulus).  The radial integrals are
+one-sided with smooth kernels, so they discretize into dense matrices on the
+ring profiles with no near-diagonal singularity; a pointwise all-pairs rule
+is unusable because its error at the outermost radial nodes grows under the
+Neumann iteration.  They are built once per grid shape by ``_mode_operators``
+(Daripa, SIAM J. Sci. Stat. Comput. 13, 1992); a density applies them to its
+ring profiles and the resulting output profiles are summed at the targets,
+radially by barycentric interpolation and in angle at the signed output
+frequencies, or at the grid's own nodes by one inverse FFT per ring.
 Outside, only the modes k = -j <= 0 contribute; with x = R/(w - c) they sum
 to a finite multipole series (Greengard & Rokhlin, J. Comput. Phys. 73, 1987)
 that holds up to the circle,
@@ -93,18 +103,13 @@ class Disk:
         return abs(self.center - other_center) - self.radius - other_radius
 
 
-def _terms_fn(terms) -> Callable:
-    def fn(z):
-        z = np.asarray(z, dtype=np.complex128)
-        acc = np.zeros(z.shape, dtype=np.complex128)
-        for coeff, pole, k in terms:
-            if k == 0:
-                acc = acc + coeff
-            else:
-                acc = acc + coeff * np.conj((z - pole) ** (-k))
-        return acc
-
-    return fn
+def _eval_terms(terms, z) -> np.ndarray:
+    """sum_i c_i conj((z - p_i)^-k_i) at the points z."""
+    z = np.asarray(z, dtype=np.complex128)
+    acc = np.zeros(z.shape, dtype=np.complex128)
+    for coeff, pole, k in terms:
+        acc += coeff if k == 0 else coeff * np.conj((z - pole) ** (-k))
+    return acc
 
 
 def _terms_sup(disk: Disk, terms, n: int) -> float:
@@ -235,9 +240,10 @@ def _mode_sum(radii: np.ndarray, profiles: np.ndarray, freqs: np.ndarray,
 class Density:
     """A bounded measurable coefficient on a disk.
 
-    ``values`` always holds samples on the disk's quadrature grid; ``fn``
-    is an optional everywhere-evaluator.  Densities built from conjugated
-    pole terms carry both, and additions keep whichever structure survives.
+    ``values`` always holds samples on the disk's quadrature grid.  At most
+    one exact evaluator rides along: conjugated pole ``terms`` or a user
+    ``fn``, never both.  Sums and scalings keep it where it survives; the
+    transforms and pairings read the samples only, through their modes.
     """
 
     disk: Disk
@@ -252,11 +258,7 @@ class Density:
         if self.values.shape != (self.grid.size,):
             raise ValueError("values must be flat samples on the density's grid")
         if self.fn is not None and self.terms is not None:
-            probe = self.fn(self.grid.nodes[:: max(1, self.grid.size // 64)])
-            ref = _terms_fn(self.terms)(self.grid.nodes[:: max(1, self.grid.size // 64)])
-            scale = max(1.0, float(np.max(np.abs(ref))))
-            if np.max(np.abs(probe - ref)) > 1e-10 * scale:
-                raise ValueError("fn and terms disagree on the grid")
+            raise ValueError("a density carries pole terms or fn, not both")
 
     # -- constructors --------------------------------------------------------
 
@@ -269,8 +271,7 @@ class Density:
         for _, pole, k in terms:
             if k > 0 and abs(pole - disk.center) <= disk.radius * (1 + 1e-12):
                 raise SingularKernelError("pole of a basis term touches the support disk")
-        fn = _terms_fn(terms)
-        return Density(disk, grid, fn(grid.nodes), fn, terms)
+        return Density(disk, grid, _eval_terms(terms, grid.nodes), terms=terms)
 
     @staticmethod
     def from_function(disk: Disk, fn: Callable, n_rad: int | None = None,
@@ -297,26 +298,22 @@ class Density:
 
     def __add__(self, other: "Density") -> "Density":
         self._compatible(other)
-        terms = None
-        fn = None
+        values = self.values + other.values
         if self.terms is not None and other.terms is not None:
-            terms = self.terms + other.terms
-            fn = _terms_fn(terms)
-        elif self.fn is not None and other.fn is not None:
-            a, b = self.fn, other.fn
-            fn = lambda z: a(z) + b(z)
-        return Density(self.disk, self.grid, self.values + other.values, fn, terms)
+            return Density(self.disk, self.grid, values, terms=self.terms + other.terms)
+        fn = None
+        if all(d.terms is not None or d.fn is not None for d in (self, other)):
+            fn = lambda z: self.eval_points(z) + other.eval_points(z)
+        return Density(self.disk, self.grid, values, fn)
 
     def __mul__(self, scalar) -> "Density":
         s = complex(scalar)
-        terms = tuple((c * s, p, k) for c, p, k in self.terms) if self.terms is not None else None
-        fn = None
-        if terms is not None:
-            fn = _terms_fn(terms)
-        elif self.fn is not None:
-            g = self.fn
-            fn = lambda z: s * g(z)
-        return Density(self.disk, self.grid, self.values * s, fn, terms)
+        if self.terms is not None:
+            return Density(self.disk, self.grid, self.values * s,
+                           terms=tuple((c * s, p, k) for c, p, k in self.terms))
+        g = self.fn
+        fn = None if g is None else (lambda z: s * g(z))
+        return Density(self.disk, self.grid, self.values * s, fn)
 
     __rmul__ = __mul__
 
@@ -338,11 +335,13 @@ class Density:
     def eval_points(self, z) -> np.ndarray:
         """Values at arbitrary points of the closed disk.
 
-        Uses the exact evaluator when one is attached, otherwise trigonometric
+        Uses the pole terms or fn when one is attached, otherwise trigonometric
         interpolation in the angle and barycentric polynomial interpolation in
         the radius of the stored grid samples.
         """
         z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+        if self.terms is not None:
+            return _eval_terms(self.terms, z)
         if self.fn is not None:
             return np.asarray(self.fn(z), dtype=np.complex128)
         return _mode_sum(*self._expansion("density"), z - self.disk.center)
@@ -378,6 +377,15 @@ class Density:
             self._expansions[kind] = entry
         return self._expansions[kind]
 
+    def beurling_on_grid(self) -> np.ndarray:
+        """Pi rho at the grid's own nodes: the "beurling" expansion summed on
+        each ring by one inverse FFT, its radii being the rings' own."""
+        _, profiles, freqs = self._expansion("beurling")
+        n = self.grid.n_ang
+        spectrum = np.zeros((self.grid.n_rad, n), dtype=np.complex128)
+        spectrum[:, freqs.astype(int) % n] = profiles
+        return (n * np.fft.ifft(spectrum, axis=1)).ravel()
+
     def _multipole(self) -> np.ndarray:
         """Exterior moments a_0, a_1, ... (module docstring), cached per density."""
         if "multipole" not in self._expansions:
@@ -392,8 +400,8 @@ class Density:
         return self._expansions["multipole"]
 
     def taylor_coeffs(self, c0: complex, K: int) -> np.ndarray:
-        """Taylor coefficients L_0..L_K of T rho at the exterior point c0,
-        L_m = pairing(rho, (c0, m + 1)), from the exterior moments."""
+        """Taylor coefficients L_0..L_K of T rho at the exterior point c0, from
+        the exterior moments; L_m is the pairing of rho with (zeta - c0)^-(m+1)."""
         a = self._multipole()
         M = local_matrix(self.disk.center, self.disk.radius, complex(c0), int(K),
                          self.grid.n_ang)
@@ -405,19 +413,16 @@ class Density:
 
 
 def pairing(nu: Density, phi) -> complex:
-    """Area pairing <nu, phi> = -(1/pi) * integral of nu * phi over the disk.
+    """Area pairing -(1/pi) * integral of nu / (zeta - pole)^k over the disk,
+    for phi = (pole, k) with k >= 1 and the pole off the closed support disk.
 
-    phi is either a callable or a pair (pole, k) meaning 1/(z - pole)^k; the
-    pole must stay off the closed support disk.
+    It is the Taylor coefficient L_{k-1} of T nu at the pole, read from nu's
+    exterior moments (``Density.taylor_coeffs``).
     """
-    if callable(phi):
-        vals = np.asarray(phi(nu.grid.nodes), dtype=np.complex128)
-    else:
-        pole, k = phi
-        if abs(complex(pole) - nu.disk.center) <= nu.disk.radius * (1 + 1e-12):
-            raise SingularKernelError("pairing kernel pole touches the support disk")
-        vals = (nu.grid.nodes - complex(pole)) ** (-int(k))
-    return complex(-(1.0 / np.pi) * np.sum(nu.grid.weights * nu.values * vals))
+    pole, k = complex(phi[0]), int(phi[1])
+    if k < 1:
+        raise ValueError(f"pairing kernel order must be at least 1, got {k}")
+    return complex(nu.taylor_coeffs(pole, k - 1)[-1])
 
 
 def cauchy_chi(disk: Disk, w) -> np.ndarray:

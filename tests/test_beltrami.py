@@ -3,21 +3,16 @@
 import numpy as np
 import pytest
 
-from qcdeform.beltrami import (
-    _beurling_mode_matrices,
-    _beurling_on_grid,
-    build_map,
-    solve_neumann,
-    verify_map,
-)
+from qcdeform.beltrami import build_map, solve_neumann, verify_map
+from qcdeform.config import RunConfig
 from qcdeform.errors import ConvergenceError, DilatationBoundError, DivergenceError
 from qcdeform.quadrature import gauss_legendre_01, polar_grid
-from qcdeform.transforms import Density, Disk, beurling_Pi
+from qcdeform.transforms import Density, Disk, _mode_operators, beurling_Pi
 
 
 def test_mode_matrix_rows_against_monomial_integrals():
     t, _ = gauss_legendre_01(16)
-    mats = _beurling_mode_matrices(16, 16)
+    mats = _mode_operators(16, 16)[1]
     # mode 0 on g = 1: (2 pi / s^2) int_0^s t dt = pi
     assert np.allclose(mats[0] @ np.ones(16), np.pi, atol=1e-12)
     # mode 1 never contributes
@@ -30,6 +25,7 @@ def test_mode_matrix_rows_against_monomial_integrals():
 
 def test_beurling_on_grid_monomial_closed_forms():
     center, radius = 0.5j, 1.2
+    disk = Disk(center, radius)
     grid = polar_grid(center, radius, 16, 32)
     u = grid.nodes - center
     zero = np.zeros(grid.size)
@@ -41,11 +37,13 @@ def test_beurling_on_grid_monomial_closed_forms():
         (np.conj(u) ** 2, zero),
     ]
     for values, want in cases:
-        got = _beurling_on_grid(grid, values.astype(complex))
+        got = Density.from_grid(disk, values.astype(complex), grid).beurling_on_grid()
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_mode_sweep_agrees_with_pointwise_transform():
+    # one expansion, summed two ways: by inverse FFT on the rings and by
+    # pointwise phases at the same nodes
     disk = Disk(0.3 - 0.2j, 0.9)
 
     def fn(z):
@@ -53,7 +51,7 @@ def test_mode_sweep_agrees_with_pointwise_transform():
         return np.exp(u) * np.conj(u) + 0.25 * u**3 - 0.1
 
     rho = Density.from_function(disk, fn, n_rad=24, n_ang=64)
-    got = _beurling_on_grid(rho.grid, rho.values)
+    got = rho.beurling_on_grid()
     want = beurling_Pi(rho, rho.grid.nodes)
     assert np.max(np.abs(got - want)) < 1e-8
 
@@ -88,7 +86,8 @@ def test_dilatation_at_admissible_bound_rejected():
     with pytest.raises(DilatationBoundError):
         solve_neumann(Density.constant(disk, 0.5, n_rad=8, n_ang=16))
     with pytest.raises(DilatationBoundError):
-        solve_neumann(Density.constant(disk, 0.3, n_rad=8, n_ang=16), kappa_max=0.25)
+        solve_neumann(Density.constant(disk, 0.3, n_rad=8, n_ang=16),
+                      config=RunConfig(kappa_max=0.25))
 
 
 def test_nonsmooth_angular_density_reports_divergence():
@@ -105,7 +104,7 @@ def test_budget_exhaustion_reports_convergence_failure():
     disk = Disk(0j, 1.0)
     mu = Density.from_function(disk, lambda z: 0.45 * z, n_rad=12, n_ang=24)
     with pytest.raises(ConvergenceError):
-        solve_neumann(mu, tol=1e-12, max_terms=3)
+        solve_neumann(mu, config=RunConfig(neumann_tol=1e-12, neumann_max_terms=3))
 
 
 def test_anti_analytic_dilatation_needs_two_terms_only():

@@ -266,7 +266,6 @@ def test_ops_selftest_passes(capsys):
     assert report["all_pass"] is True
     assert len(report["checks"]) == 5
     assert all(c["pass"] for c in report["checks"])
-    assert isinstance(report["numba"], bool)
 
 
 # ---------------------------------------------------------------------------

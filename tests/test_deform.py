@@ -3,7 +3,7 @@
 The worked geometry: f = z in the Hardy space, support disk centered at 2.2
 with radius 1.1, controlling coefficients 2 and 3 plus the norm.  For linear
 f the first-order shift identities reduce to bare kernel pairings, which
-gives an oracle independent of the solver's own assembly.
+checks the solver's assembly of the coefficients of h o f.
 """
 
 import json
@@ -46,6 +46,16 @@ def test_norm_direction_pairings():
     assert abs(pairing(mu0, (prob.c0, 1)) - 1.0) < 1e-12
     for k in prob.controlled:
         assert abs(pairing(mu0, (prob.c0, k + 1))) < 1e-12
+
+
+@pytest.mark.parametrize("disk", [Disk(6.3 + 0j, 5.0), Disk(11.7 + 0j, 10.0)])
+def test_mu0_is_orthogonal_in_the_moments_the_solver_reads(disk):
+    # near-circle disks alias the grid pairing; mu0 must be orthogonal in the
+    # Taylor coefficients at c0 that the affine map is built from
+    prob = DeformationProblem(hardy(), _linear_f(), disk, 1, 3, (0.002, 0.001), 0.0003)
+    L = build_mu0(prob).taylor_coeffs(prob.c0, 3)
+    assert abs(L[0] - 1.0) < 1e-13
+    assert abs(L[2]) < 1e-13 and abs(L[3]) < 1e-13
 
 
 def test_first_order_solution_satisfies_pairing_equations():

@@ -35,12 +35,6 @@ def test_pairing_gram_diagonal_log_closed_form():
     assert pairing(nu, (3.0 + 0j, 1)) == pytest.approx(-np.log(9.0 / 8.0), abs=1e-12)
 
 
-def test_pairing_accepts_callables():
-    nu = Density.constant(Disk(0j, 1.0), 2.0, n_rad=16, n_ang=32)
-    got = pairing(nu, lambda z: (z - 3.0) ** -1)
-    assert got == pytest.approx(2.0 / 3.0, abs=1e-13)
-
-
 def test_cauchy_chi_closed_forms():
     disk = Disk(1.0 + 2.0j, 0.7)
     w = np.array([disk.center + 0.3 - 0.2j, disk.center + 1.5j])
@@ -114,6 +108,8 @@ def test_pole_touching_support_raises():
     nu = Density.constant(disk, 1.0, n_rad=8, n_ang=16)
     with pytest.raises(SingularKernelError):
         pairing(nu, (0.9, 2))
+    with pytest.raises(ValueError):
+        pairing(nu, (3.0, 0))
 
 
 def test_density_algebra_tracks_terms_and_values():
@@ -212,8 +208,9 @@ def test_taylor_coeffs_of_indicator_closed_form():
 
 
 def test_taylor_coeffs_match_pairings_of_a_neumann_output():
-    # L_m = pairing(rho, (c0, m+1)) on a grid-only density; the grid pairing
-    # is accurate to rounding at these low orders
+    # L_m is the pairing of rho with (zeta - c0)^-(m+1); on a grid-only
+    # density the plain weighted grid sum of that pairing is accurate to
+    # rounding at these low orders
     from qcdeform.beltrami import build_map
 
     disk = Disk(2.2 + 0j, 1.1)
@@ -222,7 +219,9 @@ def test_taylor_coeffs_match_pairings_of_a_neumann_output():
     rho = build_map(mu).rho
     assert rho.terms is None
     got = rho.taylor_coeffs(0j, 30)
-    want = np.array([pairing(rho, (0j, m + 1)) for m in range(31)])
+    grid = rho.grid
+    want = np.array([-np.sum(grid.weights * rho.values * grid.nodes ** -(m + 1.0)) / np.pi
+                     for m in range(31)])
     assert np.max(np.abs(got - want)) < 1e-16
 
 
