@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .series import HoloSeries, coeffs_from_circle_samples
 from .spaces import SpaceSpec, hilbert_norm
-from .transforms import Density, Disk, cauchy_T, local_matrix
+from .transforms import Density, Disk, cauchy_T, local_matrix, terms_sup
 
 __all__ = [
     "DeformationProblem",
@@ -83,6 +84,15 @@ class DeformationProblem:
     def c0(self) -> complex:
         return self.f.coefficient(0)
 
+    @cached_property
+    def _basis(self) -> dict:
+        """{order: the density conj((zeta - c0)^-order)} for order 1 and the
+        controlled orders k + 1, built once per problem and shared by
+        ``build_mu0`` and ``_affine_map``."""
+        cfg = self.config
+        return {a: Density.from_terms(self.disk, [(1.0, self.c0, a)], cfg.n_rad, cfg.n_ang)
+                for a in [k + 1 for k in self.controlled] + [1]}
+
     def validate(self) -> None:
         if self.f.is_laurent or self.f.center != 0:
             raise ValueError("f must be a Taylor series centered at 0")
@@ -109,19 +119,14 @@ class DeformationProblem:
                 "shifted coefficients degenerates for such f", stacklevel=2)
 
 
-def _basis_density(problem: DeformationProblem, order: int) -> Density:
-    cfg = problem.config
-    return Density.from_terms(problem.disk, [(1.0, problem.c0, order)], cfg.n_rad, cfg.n_ang)
-
-
 def build_mu0(problem: DeformationProblem) -> Density:
     """Norm-control direction: unit pairing with (zeta-c0)^-1, none with the
     kernels of the controlled coefficients.  The pairings are the Taylor
     coefficients at c0 that ``_affine_map`` reads, so the orthogonality holds
     in the solver's own discretization."""
-    orders = [k + 1 for k in problem.controlled] + [1]
+    orders = list(problem._basis)
     m = len(orders)
-    gram = np.stack([_basis_density(problem, a).taylor_coeffs(problem.c0, problem.n)
+    gram = np.stack([problem._basis[a].taylor_coeffs(problem.c0, problem.n)
                      for a in orders])[:, np.array(orders) - 1]
     cond = np.linalg.cond(gram)
     if cond > _COND_LIMIT:
@@ -134,11 +139,20 @@ def build_mu0(problem: DeformationProblem) -> Density:
     return Density.from_terms(problem.disk, terms, problem.config.n_rad, problem.config.n_ang)
 
 
-def _mu_from_x(problem: DeformationProblem, mu0: Density, x: np.ndarray) -> Density:
+def _terms_from_x(problem: DeformationProblem, mu0: Density, x: np.ndarray) -> list:
     terms = [(complex(x[2 * i], x[2 * i + 1]), problem.c0, k + 1)
              for i, k in enumerate(problem.controlled)]
-    terms += [(float(x[-1]) * c, p, kk) for c, p, kk in mu0.terms]
-    return Density.from_terms(problem.disk, terms, problem.config.n_rad, problem.config.n_ang)
+    return terms + [(float(x[-1]) * c, p, kk) for c, p, kk in mu0.terms]
+
+
+def _mu_from_x(problem: DeformationProblem, mu0: Density, x: np.ndarray) -> Density:
+    return Density.from_terms(problem.disk, _terms_from_x(problem, mu0, x),
+                              problem.config.n_rad, problem.config.n_ang)
+
+
+def _sup_from_x(problem: DeformationProblem, mu0: Density, x: np.ndarray) -> float:
+    """``_mu_from_x(problem, mu0, x).sup``, read from the terms without the grid."""
+    return terms_sup(problem.disk, _terms_from_x(problem, mu0, x), problem.config.n_ang)
 
 
 def _composition_powers(problem: DeformationProblem, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +182,7 @@ def _affine_map(problem: DeformationProblem, mu0: Density,
     c0 of T of each basis density, mu0's last, with the column of xi_i repeated
     times i for Im xi_i.  Exact when rho = mu (module docstring)."""
     K = len(P) - 1
-    basis = [_basis_density(problem, k + 1) for k in problem.controlled] + [mu0]
+    basis = [problem._basis[k + 1] for k in problem.controlled] + [mu0]
     B = P @ np.stack([b.taylor_coeffs(problem.c0, K) for b in basis], axis=1)
     cols = np.repeat(np.arange(len(basis)), 2)[:-1]
     return problem.f.truncated(K).coeffs, B[:, cols] * np.tile([1, 1j], len(basis))[:-1]
@@ -340,7 +354,7 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
         return np.append(_re_im(c[ctrl] - targets), norm_c - norm_target)
 
     x_lin = _first_order(problem, f, B, norm_f)
-    sup0 = _mu_from_x(problem, mu0, x_lin).sup
+    sup0 = _sup_from_x(problem, mu0, x_lin)
     bound = 0.9 * cfg.kappa_max
     if sup0 > bound:
         raise ConvergenceError(
@@ -368,12 +382,13 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
             f"shifts, the norm shift cannot go below {floor:.3g}, and a = {problem.a:.3g}")
     t1 = -0.5 * (b + np.copysign(np.sqrt(disc), b))
     roots = (t1, e / t1) if t1 != 0.0 else (0.0, 0.0)
-    cands = [(_mu_from_x(problem, mu0, np.append(x0 + t * x1, t)), float(t)) for t in roots]
-    (mu, tau), (_, other) = sorted(cands, key=lambda m_t: m_t[0].sup)
-    if mu.sup >= cfg.kappa_max:
+    sups = [_sup_from_x(problem, mu0, np.append(x0 + t * x1, t)) for t in roots]
+    (sup, tau), (_, other) = sorted(zip(sups, map(float, roots)), key=lambda s_t: s_t[0])
+    if sup >= cfg.kappa_max:
         raise DilatationBoundError(
             f"the norm equation's roots tau = {tau:.3g}, {other:.3g} need dilatation sup "
-            f"{mu.sup:.3g} or more, at or above kappa_max {cfg.kappa_max:.3g}")
+            f"{sup:.3g} or more, at or above kappa_max {cfg.kappa_max:.3g}")
+    mu = _mu_from_x(problem, mu0, np.append(x0 + tau * x1, tau))
 
     qc = build_map(mu, cfg)
     moments = qc.rho._multipole()

@@ -68,14 +68,9 @@ def barycentric_weights(x: np.ndarray) -> np.ndarray:
     Differences are rescaled by 4 / span to keep the products in range.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = len(x)
-    scale = 4.0 / (x.max() - x.min())
-    w = np.ones(n)
-    for j in range(n):
-        d = (x[j] - x) * scale
-        d[j] = 1.0
-        w[j] = 1.0 / d.prod()
-    return w
+    d = (x[:, None] - x[None, :]) * (4.0 / (x.max() - x.min()))
+    np.fill_diagonal(d, 1.0)
+    return 1.0 / d.prod(axis=1)
 
 
 def barycentric_matrix(x: np.ndarray, xq: np.ndarray) -> np.ndarray:

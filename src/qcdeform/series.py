@@ -67,9 +67,6 @@ class HoloSeries:
             return 0j
         return complex(self.coeffs[i])
 
-    def copy(self) -> "HoloSeries":
-        return HoloSeries(self.coeffs.copy(), self.center, self.radius, self.lowest)
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, z) -> np.ndarray:

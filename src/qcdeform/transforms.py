@@ -25,7 +25,8 @@ ring profiles with no near-diagonal singularity; a pointwise all-pairs rule
 is unusable because its error at the outermost radial nodes grows under the
 Neumann iteration.  They are built once per grid shape by ``_mode_operators``
 (Daripa, SIAM J. Sci. Stat. Comput. 13, 1992); a density applies them to its
-ring profiles and the resulting output profiles are summed at the targets,
+ring profiles, as real products on the stacked real and imaginary parts of
+its modes, and the resulting output profiles are summed at the targets,
 radially by barycentric interpolation and in angle at the signed output
 frequencies, or at the grid's own nodes by one inverse FFT per ring.
 Outside, only the modes k = -j <= 0 contribute; with x = R/(w - c) they sum
@@ -78,6 +79,7 @@ __all__ = [
     "local_matrix",
     "asymptotic_T",
     "beurling_Pi",
+    "terms_sup",
 ]
 
 # T of exterior points beyond this factor of the radius is the plain grid sum,
@@ -112,18 +114,18 @@ def _eval_terms(terms, z) -> np.ndarray:
     return acc
 
 
-def _terms_sup(disk: Disk, terms, n: int) -> float:
+def terms_sup(disk: Disk, terms, n_ang: int) -> float:
     """Upper bound on the sup over the closed disk of |sum_i c_i conj((z - p_i)^-k_i)|.
 
     The sum is the conjugate of g = sum_i conj(c_i) (z - p_i)^-k_i, holomorphic
     near the closed disk, so its sup is attained on the circle (maximum modulus).  Let
-    G(theta) = g(c + R e^{i theta}), sampled at n uniform angles, and
+    G(theta) = g(c + R e^{i theta}), sampled at n = 4 n_ang uniform angles, and
     h = pi / n the largest angle to the nearest sample.  Then
     sup|G^(p)| <= max_s |G^(p)(s)| + h sup|G^(p+1)| for p = 0, 1, 2, with the
     third derivative bounded term by term, and phi = |G|^2 exceeds its
     sample max by at most (h^2 / 2) sup|phi''|, |phi''| <= 2 |G| |G''| + 2 |G'|^2.
     """
-    c, R = disk.center, disk.radius
+    c, R, n = disk.center, disk.radius, 4 * n_ang
     merged: dict = {}
     for coeff, pole, k in terms:
         merged[pole, k] = merged.get((pole, k), 0j) + coeff
@@ -319,14 +321,14 @@ class Density:
 
     @property
     def sup(self) -> float:
-        """Sup norm: certified (``_terms_sup``) for pole-term densities; for
+        """Sup norm: certified (``terms_sup``) for pole-term densities; for
         grid-only densities the max over the quadrature grid, a surrogate
         that can fall short of the true sup."""
         if "sup" not in self._expansions:
             if self.terms is None:
                 sup = float(np.max(np.abs(self.values)))
             else:
-                sup = _terms_sup(self.disk, self.terms, 4 * self.grid.n_ang)
+                sup = terms_sup(self.disk, self.terms, self.grid.n_ang)
             self._expansions["sup"] = sup
         return self._expansions["sup"]
 
@@ -367,13 +369,15 @@ class Density:
                 t, modes, freqs = self._expansion("density")
                 cauchy, beurling = _mode_operators(self.grid.n_rad, self.grid.n_ang)
                 idx = freqs.astype(int) % self.grid.n_ang
-                g = modes.T[:, :, None]                 # (n_modes, n_rad, 1)
+                op = (cauchy if kind == "cauchy" else beurling)[idx]
+                # the real operators act on the real and imaginary parts side by side
+                ri = op @ np.stack([modes.real.T, modes.imag.T], axis=2)
+                applied = ri[..., 0].T + 1j * ri[..., 1].T
                 if kind == "cauchy":
-                    entry = (np.concatenate([[0.0], t]),
-                             self.disk.radius * (cauchy[idx] @ g)[..., 0].T, freqs - 1)
+                    entry = (np.concatenate([[0.0], t]), self.disk.radius * applied, freqs - 1)
                 else:
                     # the local term e^{-2i phi} rho(w) rides on output mode k - 2
-                    entry = (t, modes - (beurling[idx] @ g)[..., 0].T / np.pi, freqs - 2)
+                    entry = (t, modes - applied / np.pi, freqs - 2)
             self._expansions[kind] = entry
         return self._expansions[kind]
 

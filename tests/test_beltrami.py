@@ -146,3 +146,28 @@ def test_verify_map_passes_for_multi_mode_neumann_output():
     assert rep.dilatation_error <= 1e-6
     assert rep.conformality_error <= 1e-8
     assert rep.jacobian_min > 0.0
+
+
+class _RowByRow:
+    """The map of ``qc`` evaluated one shift at a time, counting calls."""
+
+    def __init__(self, qc):
+        self.qc, self.mu, self.calls = qc, qc.mu, 0
+
+    def __call__(self, w):
+        self.calls += 1
+        return np.stack([self.qc(row) for row in w])
+
+
+@pytest.mark.parametrize("n_probes", [3, 12])
+def test_batched_verify_map_matches_one_call_per_shift(n_probes):
+    # each point's value is independent of the other targets, so the
+    # (4, n) batch reproduces the per-shift calls bit for bit
+    disk = Disk(0.2 - 0.3j, 0.9)
+    poles = disk.center + disk.radius * np.array([1.6, 1.7j, -1.8 + 0.1j])
+    terms = [(0.1, poles[0], 1), (0.05j, poles[1], 2), (-0.07, poles[2], 3)]
+    for mu in (Density.from_terms(disk, terms), Density.constant(disk, 0.2 - 0.1j)):
+        qc = build_map(mu)
+        row_by_row = _RowByRow(qc)
+        assert verify_map(qc, n_probes, seed=4) == verify_map(row_by_row, n_probes, seed=4)
+        assert row_by_row.calls == 2    # one per probe set

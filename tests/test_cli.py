@@ -5,10 +5,15 @@ the byte-identical determinism promise can be asserted on raw text.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qcdeform import cli
 from qcdeform.cli import main
 
 # reduced quadrature keeps the heavier subcommands fast; still well above
@@ -278,6 +283,31 @@ def test_same_config_and_seed_byte_identical(tmp_path, capsys):
     _, second, _ = run(["hsz-search", "--config", path], capsys)
     assert first == second
     assert first != ""
+
+
+def test_parser_is_reused_across_calls_in_one_process(tmp_path, capsys):
+    # a usage error between two runs leaves the shared parser unchanged
+    doc = {"disk": {"center": [0.5, -0.2], "radius": 1.0},
+           "mu": {"constant": [0.05, 0.0]}, "probes": 4, "config": FAST}
+    path = write_doc(tmp_path, "verify.json", doc)
+    code, first, _ = run(["verify", "--config", path], capsys)
+    assert code == 0
+    code, out, err = run(["bogus"], capsys)
+    assert code == 1 and out == ""
+    assert "usage" in err.lower()
+    code, second, _ = run(["verify", "--config", path], capsys)
+    assert code == 0
+    assert first == second
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_module_entry_point_runs_ops_selftest():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "qcdeform.cli", "ops-selftest"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_pass"] is True
 
 
 def test_out_writes_file_not_stdout(tmp_path, capsys):

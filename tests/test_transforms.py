@@ -7,6 +7,7 @@ from qcdeform.errors import SingularKernelError
 from qcdeform.transforms import (
     Density,
     Disk,
+    _mode_operators,
     asymptotic_T,
     beurling_Pi,
     cauchy_T,
@@ -239,3 +240,30 @@ def test_sup_of_term_density_is_certified_on_the_circle():
     assert peak <= mu.sup <= peak * (1 + 1e-3)
     grid_only = Density.from_grid(mu.disk, mu.values, mu.grid)
     assert grid_only.sup == pytest.approx(0.68134, abs=1e-5)
+
+
+def test_real_mode_products_match_the_complex_products():
+    # poles 1.6-2.0 radii out keep most angular modes, of both signs since
+    # the density is neither holomorphic nor antiholomorphic (Pi of the
+    # conjugated terms alone vanishes inside).  The operator products read
+    # back from the expansions, real operators applied to the real and
+    # imaginary parts side by side, must match the complex product of the
+    # gathered operators at rounding level: relative to |op| |g|, since the
+    # shell integrals cancel
+    disk = Disk(0.3 - 0.2j, 1.2)
+    poles = disk.center + disk.radius * np.array([1.6, 1.8j, -2.0 + 0.2j])
+    mu = Density.from_function(disk, lambda z: 0.4 / (z - poles[0]) + np.conj(
+        0.3j / (z - poles[1]) ** 2 - 0.2 / (z - poles[2]) ** 3))
+    t, modes, freqs = mu._expansion("density")
+    assert len(freqs) >= 60
+    cauchy, beurling = _mode_operators(mu.grid.n_rad, mu.grid.n_ang)
+    idx = freqs.astype(int) % mu.grid.n_ang
+    g = modes.T[..., None]
+    read_back = {"cauchy": (cauchy, 1, lambda p: p / disk.radius),
+                 "beurling": (beurling, 2, lambda p: (modes - p) * np.pi)}
+    for kind, (op, shift, product_of) in read_back.items():
+        _, profiles, out_freqs = mu._expansion(kind)
+        np.testing.assert_array_equal(out_freqs, freqs - shift)
+        want = (op[idx] @ g)[..., 0].T
+        scale = np.max(np.abs(op[idx]) @ np.abs(g))
+        assert np.max(np.abs(product_of(profiles) - want)) <= 1e-15 * scale
