@@ -17,7 +17,10 @@ Two desk-scale tools:
   |a_m| <= |a_m^0| on the attached ratio-of-solutions expansions.  Violations
   are reported verbatim, never suppressed.  The output is exploratory
   evidence about a finite sample whose boundary hypothesis is unchecked, not
-  a theorem verification; the report header says so.
+  a theorem verification; the report header says so.  The growth ceiling
+  b2_bound of a random family is certified: no member exceeds it anywhere
+  in the disk.  The family and every member's expansion are computed as
+  whole arrays, not member by member.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .series import HoloSeries
 from .spaces import SpaceSpec, hilbert_norm
-from .schwarzian import solve_schwarz
+from .schwarzian import _canonical_ratio, _ring_values
 
 __all__ = [
     "SearchRecord",
@@ -124,7 +127,15 @@ def hsz_search(space: SpaceSpec, n: int, budget: int, seed: int = 0,
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Generator recipe for a sampled family of small disk functions."""
+    """Generator recipe for a sampled family of small disk functions.
+
+    ``random_b2`` draws coefficients c_k = sigma0 decay^k (x + i y) with
+    standard normal x, y, and scales down every member whose growth
+    sup (1 - |z|^2)^2 |f(z)| could exceed ``b2_bound``: the scale uses a
+    certified upper bound of that sup (:func:`_b2_ceiling`), so b2_bound is a
+    ceiling of every member, not a grid estimate.  ``ray`` is t * target for
+    t evenly spaced in [0, 1].
+    """
 
     kind: str = "random_b2"
     size: int = 1000
@@ -155,24 +166,62 @@ class FamilySpec:
             raise ValueError(f"unknown family kind {self.kind!r}")
         rng = np.random.default_rng(seed)
         sig = self.sigma0 * self.decay ** np.arange(self.degree + 1)
-        out = []
-        for _ in range(self.size):
-            c = sig * (rng.standard_normal(self.degree + 1)
-                       + 1j * rng.standard_normal(self.degree + 1))
-            f = HoloSeries(c, radius=np.inf)
-            b2 = _grid_b2(f)
-            if b2 > self.b2_bound:
-                f = HoloSeries(c * (self.b2_bound / b2), radius=np.inf)
-            out.append(f)
-        return out
+        # one draw, in the order of per-member (real, imaginary) draws
+        g = rng.standard_normal((self.size, 2, self.degree + 1))
+        c = sig * (g[:, 0] + 1j * g[:, 1])
+        b2 = _b2_ceiling(c)
+        over = b2 > self.b2_bound
+        c[over] *= (self.b2_bound / b2[over])[:, None]
+        return [HoloSeries(row, radius=np.inf) for row in c]
 
 
-def _grid_b2(f: HoloSeries) -> float:
-    """Single-grid estimate of the growth norm, cheap enough per sample."""
-    radii = np.concatenate([np.arange(64) / 64, 1.0 - 0.5 ** np.arange(2, 9)])
-    ang = np.exp(2j * np.pi * np.arange(128) / 128)
-    z = np.outer(np.unique(radii), ang).ravel()
-    return float(np.max((1.0 - np.abs(z) ** 2) ** 2 * np.abs(f.evaluate(z))))
+# growth grid: 66 rings x 128 angles; the rings are the 64ths of [0, 1) and
+# 1 - 2^-7, 1 - 2^-8 (built without np.unique, which imports numpy.ma, 1.5 MB)
+_RADII = np.concatenate([np.arange(64) / 64, 1.0 - 0.5 ** np.arange(7, 9)])
+_N_ANGLES = 128
+# members per ring pass: one block of rings is 4 x 66 x 128 complex (0.5 MB);
+# 16-member blocks ran at the same speed and raised the peak RSS of the
+# analysis benchmark by 1.3 MB
+_BLOCK = 4
+
+
+def _b2_ceiling(c: np.ndarray) -> np.ndarray:
+    """Upper bound of sup_{|z| < 1} (1 - |z|^2)^2 |f(z)| for each row of c.
+
+    With a_k = |c_k| and M(r) the maximum of |f| on |z| = r:
+
+    * on each grid ring, the largest of the 128 values plus the angular slack
+      (pi / 128) sum k a_k r^k bounds M(r), since d f / d theta is bounded by
+      that sum and every angle is within pi / 128 of a grid angle;
+    * between a ring r and the next one r' (or 1 after the last ring), M
+      grows (maximum modulus), and along a ray |f| moves by at most
+      (s - r) sum k a_k s^(k - 1) from ring r out to radius s.  So on each
+      half [s0, s1] of [r, r'] the weighted modulus is at most
+      (1 - s0^2)^2 times the smaller of the ring-r bound plus that move out
+      to s1, and the bound of M(r') (sum a_k when r' = 1).
+
+    The bound is certified up to rounding.  Its slack is first order in the
+    grid step: on random_b2 draws it lies about 0.6 % above the grid maximum
+    in the median, but several times above the sup for high-degree rows.
+    """
+    k = np.arange(c.shape[1])
+    r, r_next = _RADII, np.append(_RADII[1:], 1.0)
+    mid = 0.5 * (r + r_next)
+    powers = r[:, None] ** k
+    slope = (k * powers).T * (np.pi / _N_ANGLES)
+    step_mid = ((mid - r)[:, None] * k * mid[:, None] ** (k - 1)).T
+    step_next = ((r_next - r)[:, None] * k * r_next[:, None] ** (k - 1)).T
+    out = np.empty(len(c))
+    for lo in range(0, len(c), _BLOCK):
+        block = c[lo : lo + _BLOCK]
+        a = np.abs(block)
+        ring = np.abs(_ring_values(block[:, None, :] * powers, _N_ANGLES)).max(axis=-1)
+        m_ring = ring + a @ slope
+        m_next = np.concatenate([m_ring[:, 1:], a.sum(axis=1, keepdims=True)], axis=1)
+        inner = (1.0 - r**2) ** 2 * np.minimum(m_ring + a @ step_mid, m_next)
+        outer = (1.0 - mid**2) ** 2 * np.minimum(m_ring + a @ step_next, m_next)
+        out[lo : lo + _BLOCK] = np.maximum(inner, outer).max(axis=-1)
+    return out
 
 
 _HEADER = (
@@ -225,6 +274,8 @@ def check_thm2_consistency(space: SpaceSpec, family, n: int = 2,
     |c_1|; the expansions solving the attached second-order equation are
     compared coefficientwise the same way.  All violations are listed.
     """
+    if n < 0:
+        raise ValueError("coefficient index n must be nonnegative")
     if isinstance(family, FamilySpec):
         if samples is not None:
             family = FamilySpec(**{**family.__dict__, "size": samples})
@@ -236,34 +287,31 @@ def check_thm2_consistency(space: SpaceSpec, family, n: int = 2,
     if not members:
         return Thm2Report(_HEADER, n, 0, seed, -1, 0.0, 0.0, (), (), (), (), tol)
 
-    c1 = np.array([abs(f.coefficient(1)) for f in members])
+    # every coefficient the report reads: c_1, c_n and the Schwarzian orders
+    width = max(ode_degree - 1, n + 1, 2)
+    coeffs = np.array([[f.coefficient(k) for k in range(width)] for f in members],
+                      dtype=np.complex128)
+    c1 = np.abs(coeffs[:, 1])
+    cn = np.abs(coeffs[:, n])
     i0 = int(np.argmax(c1))
-    f0 = members[i0]
     c1_0 = float(c1[i0])
-    cn_0 = abs(f0.coefficient(n))
+    cn_0 = float(cn[i0])
     bound = max(c1_0, cn_0)
+    coeff_ok = cn <= bound + tol
+    rows = tuple(zip(range(len(members)), cn.tolist(), [bound] * len(members),
+                     coeff_ok.tolist()))
+    bad_coeff = tuple(np.flatnonzero(~coeff_ok).tolist())
 
-    rows = []
-    bad_coeff = []
-    for i, f in enumerate(members):
-        cn = abs(f.coefficient(n))
-        ok = cn <= bound + tol
-        rows.append((i, cn, bound, ok))
-        if not ok:
-            bad_coeff.append(i)
-
-    w0 = solve_schwarz(f0, ode_degree)
-    a0 = np.abs([w0.coefficient(m) for m in range(m_max + 1)])
-    exp_rows = []
-    bad_exp = []
-    for i, f in enumerate(members):
-        w = solve_schwarz(f, ode_degree)
-        for m in range(3, m_max + 1):
-            am = abs(w.coefficient(m))
-            ok = bool(am <= a0[m] + tol)
-            exp_rows.append((i, m, am, float(a0[m]), ok))
-            if not ok:
-                bad_exp.append((i, m))
+    # canonical solutions (jet 0, 1, 0) of every member at once; orders past
+    # ode_degree count as zero
+    w = np.zeros((len(members), max(ode_degree, m_max) + 1), dtype=np.complex128)
+    w[:, : ode_degree + 1] = _canonical_ratio(coeffs[:, : max(ode_degree - 1, 0)], ode_degree)
+    a = np.abs(w[:, : m_max + 1])
+    exp_ok = a[:, 3:] <= a[i0, 3:] + tol
+    am, am0, oks = a.tolist(), a[i0].tolist(), exp_ok.tolist()
+    exp_rows = tuple((i, m, am[i][m], am0[m], oks[i][m - 3])
+                     for i in range(len(members)) for m in range(3, m_max + 1))
+    bad_exp = tuple((int(i), int(m) + 3) for i, m in zip(*np.nonzero(~exp_ok)))
 
     return Thm2Report(_HEADER, n, len(members), seed, i0, c1_0, cn_0,
-                      tuple(rows), tuple(bad_coeff), tuple(exp_rows), tuple(bad_exp), tol)
+                      rows, bad_coeff, exp_rows, bad_exp, tol)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
 from .errors import SingularDivisionError
 from .series import HoloSeries
 
@@ -46,6 +45,29 @@ def schwarzian_of(w: HoloSeries) -> HoloSeries:
     return g.derivative() - 0.5 * g * g
 
 
+def _canonical_ratio(sc: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients 0..n of the canonical solutions eta1 / eta2, row by row.
+
+    sc is a (members, n - 1) array of Schwarzian coefficients.  Each row
+    integrates 2 eta'' + s eta = 0 for eta1 (data 0, 1) and eta2 (data 1, 0)
+    and divides the two series; eta2(0) = 1, so the division needs no pivot.
+    """
+    rows = sc.shape[0]
+    eta = np.zeros((2, rows, n + 1), dtype=np.complex128)
+    eta[1, :, 0] = 1.0
+    if n >= 1:
+        eta[0, :, 1] = 1.0
+    for m in range(n - 1):
+        acc = np.einsum("ijk,jk->ij", eta[:, :, m::-1], sc[:, : m + 1])
+        eta[:, :, m + 2] = -acc / (2.0 * (m + 2) * (m + 1))
+    a, b = eta
+    c = np.zeros((rows, n + 1), dtype=np.complex128)
+    c[:, 0] = a[:, 0]
+    for m in range(1, n + 1):
+        c[:, m] = a[:, m] - np.einsum("jk,jk->j", b[:, 1 : m + 1], c[:, m - 1 :: -1])
+    return c
+
+
 def solve_schwarz(s: HoloSeries, n: int, w0: complex = 0j, w1: complex = 1.0 + 0j,
                   w2: complex = 0j) -> HoloSeries:
     """Series solution of S(w) = s with w(0) = w0, w'(0) = w1, w''(0) = w2.
@@ -56,21 +78,8 @@ def solve_schwarz(s: HoloSeries, n: int, w0: complex = 0j, w1: complex = 1.0 + 0
     """
     if w1 == 0:
         raise SingularDivisionError("w'(0) must not vanish")
-    sc = np.array([s.coefficient(k) for k in range(max(n - 1, 0))], dtype=np.complex128)
-
-    def ode_solution(e0: complex, e1: complex) -> np.ndarray:
-        e = np.zeros(n + 1, dtype=np.complex128)
-        e[0] = e0
-        if n >= 1:
-            e[1] = e1
-        for m in range(n - 1):
-            acc = np.dot(sc[: m + 1], e[m::-1][: m + 1])
-            e[m + 2] = -acc / (2.0 * (m + 2) * (m + 1))
-        return e
-
-    eta1 = HoloSeries(ode_solution(0.0, 1.0), radius=s.radius)
-    eta2 = HoloSeries(ode_solution(1.0, 0.0), radius=s.radius)
-    w_can = eta1 / eta2
+    sc = np.array([[s.coefficient(k) for k in range(max(n - 1, 0))]], dtype=np.complex128)
+    w_can = HoloSeries(_canonical_ratio(sc, n)[0], radius=s.radius)
     # Moebius u -> w0 + w1 u / (1 - (w2 / (2 w1)) u) carries the canonical jet
     # (0, 1, 0) to (w0, w1, w2) without changing the Schwarzian.
     q = w2 / (2.0 * w1)
@@ -138,22 +147,40 @@ def a_leading_from_b(n: int, a1: complex, b0: complex, b1: complex = 0j) -> comp
     return complex(lead)
 
 
+def _ring_values(terms: np.ndarray, n_angles: int) -> np.ndarray:
+    """Values of sum_k t_k exp(2 pi i j k / n_angles) for j = 0..n_angles-1.
+
+    With t_k = c_k r^k along the last axis these are the values of sum c_k z^k
+    on the ring |z| = r at n_angles equispaced angles.  On the ring z^k
+    depends only on k mod n_angles, so the terms are folded modulo n_angles
+    and one inverse FFT gives every angle at once.
+    """
+    n = terms.shape[-1]
+    if n > n_angles:
+        padded = np.zeros(terms.shape[:-1] + (-(-n // n_angles) * n_angles,),
+                          dtype=np.complex128)
+        padded[..., :n] = terms
+        terms = padded.reshape(terms.shape[:-1] + (-1, n_angles)).sum(axis=-2)
+    return n_angles * np.fft.ifft(terms, n=n_angles, axis=-1)
+
+
 def covering_radius(w: HoloSeries, n_angles: int = 1024,
                     radii: tuple = (0.995, 0.999)) -> float:
     """Radius of the largest disk around 0 inside the image of the unit disk.
 
     For univalent w with w(0) = 0 the image of |z| = rho shrinks onto the
     boundary circle as rho -> 1; the minimum modulus is sampled at two radii
-    and extrapolated linearly in (1 - rho).
+    and extrapolated linearly in (1 - rho).  Each ring is one fold of the
+    coefficients modulo n_angles and one FFT, whatever the series length.
     """
     if w.is_laurent or w.coefficient(0) != 0:
         raise ValueError("covering radius assumes a Taylor series with w(0) = 0")
     r1, r2 = radii
     if not (0 < r1 < r2 < 1):
         raise ValueError("radii must satisfy 0 < r1 < r2 < 1")
-    ang = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-    m1 = float(np.min(np.abs(kernels.horner_many(w.coeffs, r1 * ang))))
-    m2 = float(np.min(np.abs(kernels.horner_many(w.coeffs, r2 * ang))))
+    k = np.arange(len(w.coeffs))
+    m1 = float(np.min(np.abs(_ring_values(w.coeffs * r1**k, n_angles))))
+    m2 = float(np.min(np.abs(_ring_values(w.coeffs * r2**k, n_angles))))
     # eliminate the O(1 - rho) term: weights from (1-r1)/(1-r2) = 5, 1
     lam = (1.0 - r1) / ((1.0 - r1) - (1.0 - r2))
     return lam * m2 - (lam - 1.0) * m1

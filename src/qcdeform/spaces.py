@@ -146,7 +146,8 @@ def bp_norm(f, p: float, tol: float = 1e-6, max_level: int = 6) -> float:
         r_max = min(f.radius * (1.0 - 1e-12), 1.0 - 1e-12)
         # the sup is that of the stored polynomial, computed exactly; warn when
         # a series long enough to be a truncation has not decayed by its end
-        if len(f.coeffs) >= 8:
+        # (an infinite radius marks an exact polynomial, which truncates nothing)
+        if len(f.coeffs) >= 8 and np.isfinite(f.radius):
             trust = _trust_radius(f)
             if trust < 0.9:
                 warnings.warn(

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from qcdeform.extremal import FamilySpec, check_thm2_consistency, hsz_search
+from qcdeform.extremal import FamilySpec, _b2_ceiling, check_thm2_consistency, hsz_search
+from qcdeform.schwarzian import solve_schwarz
 from qcdeform.series import HoloSeries
-from qcdeform.spaces import hardy, hilbert_norm
+from qcdeform.spaces import bp_norm, hardy, hilbert_norm
 
 
 def test_search_saturates_constant_coefficient():
@@ -60,6 +61,40 @@ def test_family_generation_is_seed_deterministic():
         assert np.array_equal(fa.coeffs, fb.coeffs)
 
 
+def test_family_growth_ceiling_is_certified():
+    # b2_bound caps the growth sup of every member, not just a grid estimate
+    spec = FamilySpec.random_b2(size=300)
+    for f in spec.generate(seed=0):
+        assert bp_norm(f, 2.0) <= spec.b2_bound
+
+
+@pytest.mark.parametrize("powers", [(5,), (64, 128), (200,)])
+def test_growth_ceiling_covers_peaks_off_the_grid(powers):
+    # z^5 peaks between two rings, z^64 + i z^128 between grid angles, and
+    # z^200 folds past the 128 angles
+    c = np.zeros(max(powers) + 1, dtype=complex)
+    c[list(powers)] = 1j ** np.arange(len(powers))
+    sup = bp_norm(HoloSeries(c, radius=np.inf), 2.0, tol=1e-9, max_level=7)
+    assert _b2_ceiling(c[None])[0] >= sup
+
+
+def test_consistency_report_expansions_match_solve_schwarz():
+    # a user list with members shorter than the ODE order
+    members = [HoloSeries(np.array([0.1, -0.2j], dtype=complex)),
+               HoloSeries(np.array([0.05, 0.3, 0.1 + 0.1j, -0.02], dtype=complex)),
+               HoloSeries(np.array([-0.2], dtype=complex))]
+    rep = check_thm2_consistency(hardy(), members, n=3, m_max=8, ode_degree=6)
+    assert rep.f0_index == 1
+    assert rep.cn_0 == pytest.approx(0.02)
+    a0 = [abs(solve_schwarz(members[1], 6).coefficient(m)) for m in range(9)]
+    for i, m, am, am0, ok in rep.expansion_rows:
+        want = abs(solve_schwarz(members[i], 6).coefficient(m))
+        assert am == pytest.approx(want, rel=1e-13, abs=1e-16)
+        assert am0 == pytest.approx(a0[m], rel=1e-13, abs=1e-16)
+        assert ok == (am <= am0 + rep.tol)
+    assert len(rep.expansion_rows) == 3 * 6
+
+
 def test_consistency_report_on_sampled_family():
     rep = check_thm2_consistency(hardy(), FamilySpec.random_b2(size=40), n=2, seed=0)
     assert "exploratory evidence" in rep.header
@@ -86,3 +121,5 @@ def test_consistency_report_on_empty_family():
     assert rep.f0_index == -1
     assert rep.rows == ()
     assert rep.coeff_violations == ()
+    with pytest.raises(ValueError):
+        check_thm2_consistency(hardy(), [], n=-1)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from qcdeform.errors import SingularDivisionError
+from qcdeform.extremal import FamilySpec
 from qcdeform.schwarzian import (
+    _canonical_ratio,
+    _ring_values,
     a_from_b,
     a_leading_from_b,
     covering_radius,
@@ -63,6 +66,45 @@ def test_schwarzian_roundtrip_preserves_jet_and_tail():
     assert np.max(np.abs(w.coeffs[:21] - f.coeffs[:21])) < 1e-10
 
 
+def _schwarz_rows(members, n):
+    return np.array([[f.coefficient(k) for k in range(n - 1)] for f in members],
+                    dtype=complex)
+
+
+def _loop_ratio(sc, n):
+    """One member at a time: eta1, eta2 by the ODE recurrence, then eta1 / eta2."""
+    eta = np.zeros((2, n + 1), dtype=complex)
+    eta[:, 0] = (0.0, 1.0)
+    eta[:, 1] = (1.0, 0.0)
+    for m in range(n - 1):
+        for e in eta:
+            e[m + 2] = -sum(sc[j] * e[m - j] for j in range(m + 1)) / (2.0 * (m + 2) * (m + 1))
+    c = np.zeros(n + 1, dtype=complex)
+    for m in range(n + 1):
+        c[m] = eta[0, m] - sum(eta[1, j] * c[m - j] for j in range(1, m + 1))
+    return c
+
+
+_RAY = FamilySpec.ray(HoloSeries(0.4 ** np.arange(12) * np.exp(0.7j * np.arange(12))),
+                      size=6).generate(seed=0)
+# members shorter than the ODE order: missing coefficients count as zero
+_SHORT = [HoloSeries(np.array([0.3 - 0.1j])),
+          HoloSeries(np.array([-0.2, 0.15j, 0.05], dtype=complex)),
+          HoloSeries(np.array([0.1, 0.0, -0.4, 0.2j, 0.1], dtype=complex))]
+
+
+@pytest.mark.parametrize("members", [_RAY, _SHORT], ids=["ray", "short"])
+def test_batched_core_matches_solve_schwarz_row_by_row(members):
+    sc = _schwarz_rows(members, 16)
+    got = _canonical_ratio(sc, 16)
+    assert got.shape == (len(members), 17)
+    for row, f, s_row in zip(got, members, sc):
+        want = solve_schwarz(f, 16).coeffs
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(row - want)) <= 1e-14 * scale
+        assert np.max(np.abs(row - _loop_ratio(s_row, 16))) <= 1e-14 * scale
+
+
 def test_inverted_constant_term_identity():
     a2, a3 = 0.31 - 0.12j, -0.05 + 0.2j
     for theta in (0.0, 0.7, 2.1, -1.3):
@@ -103,6 +145,13 @@ def test_covering_radius_of_extremal_map_nears_quarter():
     got = covering_radius(HoloSeries(m.astype(complex)),
                           n_angles=512, radii=(0.97, 0.99))
     assert abs(got - 0.25) < 1e-4
+    # the folded ring values against sum_{k <= n} k z^k in closed form
+    n = len(m) - 1
+    for r in (0.97, 0.99):
+        z = r * np.exp(2j * np.pi * np.arange(512) / 512)
+        want = z * (1.0 - (n + 1) * z**n + n * z ** (n + 1)) / (1.0 - z) ** 2
+        ring = _ring_values(m * r**m, 512)
+        assert np.max(np.abs(ring - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_covering_radius_input_validation():

@@ -1,5 +1,7 @@
 """Coefficient-weight spaces, growth norms, and the embedding scan."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,14 @@ def test_bp_norm_warns_when_tail_dominates():
     # slowly decaying coefficients keep the trusted radius away from 1
     f = HoloSeries(0.999 ** np.arange(12) + 0j, radius=1.0 / 0.999)
     with pytest.warns(UserWarning):
+        bp_norm(f, 2.0, max_level=2)
+
+
+def test_bp_norm_trusts_exact_polynomials():
+    # the same slowly decaying coefficients, stored as an exact polynomial
+    f = HoloSeries(0.999 ** np.arange(12) + 0j, radius=np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         bp_norm(f, 2.0, max_level=2)
 
 
