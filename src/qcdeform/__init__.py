@@ -21,21 +21,19 @@ from .errors import (
     SingularDivisionError,
     SingularKernelError,
 )
-from .series import HoloSeries, RecoveredSeries, coeffs_from_circle_samples, sample_circle
+from .series import HoloSeries, RecoveredSeries, coeffs_from_circle_samples
 from .quadrature import PolarGrid, polar_grid
 from .spaces import (
     SpaceSpec,
     bergman,
     bp_norm,
     dirichlet,
-    estimate_embedding_constant,
     from_radial_measure,
     hardy,
-    hilbert_inner,
     hilbert_norm,
     monomial_bp_sup,
 )
-from .transforms import Density, Disk, asymptotic_T, beurling_Pi, cauchy_T, cauchy_chi, pairing
+from .transforms import Density, Disk, beurling_Pi, cauchy_T, cauchy_chi, pairing
 from .beltrami import MapReport, NeumannResult, QcMap, build_map, solve_neumann, verify_map
 from .deform import (
     DeformationProblem,
@@ -71,7 +69,6 @@ __all__ = [
     "DilatationBoundError",
     "HoloSeries",
     "RecoveredSeries",
-    "sample_circle",
     "coeffs_from_circle_samples",
     "PolarGrid",
     "polar_grid",
@@ -81,16 +78,13 @@ __all__ = [
     "dirichlet",
     "from_radial_measure",
     "hilbert_norm",
-    "hilbert_inner",
     "bp_norm",
     "monomial_bp_sup",
-    "estimate_embedding_constant",
     "Disk",
     "Density",
     "pairing",
     "cauchy_chi",
     "cauchy_T",
-    "asymptotic_T",
     "beurling_Pi",
     "NeumannResult",
     "solve_neumann",

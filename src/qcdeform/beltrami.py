@@ -108,20 +108,25 @@ class MapReport:
         return not self.warnings
 
 
-def verify_map(qcmap: QcMap, n_probes: int = 12, delta: float | None = None,
-               seed: int = 0, dilatation_tol: float = 5e-3,
-               conformality_tol: float = 1e-8) -> MapReport:
+# verify_map's central-difference step, as a fraction of the disk radius, and
+# its tolerances: loose, they catch wiring mistakes, not quadrature error
+_DELTA_REL = 1e-4
+_DILATATION_TOL = 5e-3
+_CONFORMALITY_TOL = 1e-8
+
+
+def verify_map(qcmap: QcMap, n_probes: int = 12, seed: int = 0) -> MapReport:
     """Finite-difference audit of the Beltrami equation.
 
-    Checks dh/dwbar = mu * dh/dw at interior probes, dh/dwbar = 0 at exterior
-    ones, and that the Jacobian |dh/dw|^2 - |dh/dwbar|^2 stays positive.
-    Tolerances are loose: the check guards against wiring mistakes, not
-    quadrature error.  The four shifted copies of each probe set go through
-    one map call; every point's value is independent of the other targets.
+    Checks dh/dwbar = mu * dh/dw at interior probes (to 5e-3), dh/dwbar = 0
+    at exterior ones (to 1e-8), and that the Jacobian |dh/dw|^2 - |dh/dwbar|^2
+    stays positive, with central differences of step 1e-4 disk radii.  The
+    four shifted copies of each probe set go through one map call; every
+    point's value is independent of the other targets.
     """
     disk = qcmap.mu.disk
     r = disk.radius
-    dl = delta if delta is not None else 1e-4 * r
+    dl = _DELTA_REL * r
     rng = np.random.default_rng(seed)
     t = r * (0.15 + 0.7 * np.sqrt(rng.random(n_probes)))
     ang = 2.0 * np.pi * rng.random(n_probes)
@@ -143,9 +148,9 @@ def verify_map(qcmap: QcMap, n_probes: int = 12, delta: float | None = None,
     conf_err = float(np.max(np.abs(dwb_out)))
 
     notes = []
-    if dil_err > dilatation_tol:
-        notes.append(f"dilatation residual {dil_err:.3g} exceeds {dilatation_tol:.3g}")
-    if conf_err > conformality_tol:
+    if dil_err > _DILATATION_TOL:
+        notes.append(f"dilatation residual {dil_err:.3g} exceeds {_DILATATION_TOL:.3g}")
+    if conf_err > _CONFORMALITY_TOL:
         notes.append(f"exterior dwbar reaches {conf_err:.3g}")
     if jac_min <= 0:
         notes.append(f"Jacobian nonpositive at an interior probe ({jac_min:.3g})")

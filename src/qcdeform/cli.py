@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: deform, verify, schwarzian, ode, invert, approx, hsz-search,
-thm2-check, covering, ops-selftest.  Inputs are JSON files (series stored as
-[[re, im], ...]); reports go to stdout or --out as JSON or CSV.  Every report
+thm2-check, covering, ops-selftest.  Each takes one JSON input file, named by
+--config or its second spelling --in (series stored as [[re, im], ...]); main
+loads it and resolves the run configuration for every subcommand.  Reports go
+to stdout or --out as JSON or CSV.  Every report
 embeds the resolved run configuration, and the same config and seed always
 produce byte-identical output.  Exit codes: 0 success, 1 usage or config
 error, 2 numerical non-convergence.
@@ -64,11 +66,11 @@ def _series_from_spec(spec) -> HoloSeries:
 
 
 def _resolve_config(doc: dict, args) -> RunConfig:
-    cfg = RunConfig.from_dict(doc.get("config", {})) if doc.get("config") else DEFAULT_CONFIG
+    cfg = RunConfig.from_dict(doc["config"]) if doc.get("config") else DEFAULT_CONFIG
     updates = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["seed"] = args.seed
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         updates["coeff_tol"] = args.tol
         updates["norm_tol"] = args.tol
     return cfg.with_updates(**updates) if updates else cfg
@@ -88,11 +90,11 @@ def _mu_from_spec(spec: dict, disk: Disk, cfg: RunConfig) -> Density:
 
 
 def _emit(report: dict, args) -> None:
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         text = _to_csv(report)
     else:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=True) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -120,9 +122,7 @@ def _to_csv(report: dict) -> str:
 # subcommand bodies
 
 
-def _cmd_deform(args) -> dict:
-    doc = _load_json(args.config)
-    cfg = _resolve_config(doc, args)
+def _cmd_deform(doc: dict, cfg: RunConfig, args) -> dict:
     problem = DeformationProblem(
         space=_SPACES[doc.get("space", "hardy")](),
         f=_series_from_spec(doc["f"]),
@@ -134,34 +134,26 @@ def _cmd_deform(args) -> dict:
         config=cfg,
     )
     result = solve_deformation(problem)
-    return {"command": "deform", "config": cfg.to_dict(), "result": result.to_dict(),
+    return {"result": result.to_dict(),
             "mu_terms": [[_complex_to_pairs(c)[0], _complex_to_pairs(p)[0], k]
                          for c, p, k in result.mu.terms]}
 
 
-def _cmd_verify(args) -> dict:
-    doc = _load_json(args.config)
-    cfg = _resolve_config(doc, args)
+def _cmd_verify(doc: dict, cfg: RunConfig, args) -> dict:
     disk = _disk_from_spec(doc["disk"])
     mu = _mu_from_spec(doc["mu"], disk, cfg)
     qc = build_map(mu, cfg)
     rep = verify_map(qc, n_probes=int(doc.get("probes", 12)), seed=cfg.seed)
-    return {"command": "verify", "config": cfg.to_dict(), "neumann_terms": qc.n_terms,
+    return {"neumann_terms": qc.n_terms,
             "neumann_residual": qc.neumann_residual, **vars(rep), "ok": rep.ok}
 
 
-def _cmd_schwarzian(args) -> dict:
-    doc = _load_json(args.input or args.config)
-    cfg = _resolve_config(doc, args)
-    w = _series_from_spec(doc)
-    s = schwarzian_of(w)
-    return {"command": "schwarzian", "config": cfg.to_dict(),
-            "schwarzian": _complex_to_pairs(s.coeffs)}
+def _cmd_schwarzian(doc: dict, cfg: RunConfig, args) -> dict:
+    s = schwarzian_of(_series_from_spec(doc))
+    return {"schwarzian": _complex_to_pairs(s.coeffs)}
 
 
-def _cmd_ode(args) -> dict:
-    doc = _load_json(args.input or args.config)
-    cfg = _resolve_config(doc, args)
+def _cmd_ode(doc: dict, cfg: RunConfig, args) -> dict:
     s = _series_from_spec(doc)
     n = int(doc.get("n", _ODE_ORDER))
     init = doc.get("init")
@@ -170,17 +162,12 @@ def _cmd_ode(args) -> dict:
     else:
         w0, w1, w2 = (complex(p[0], p[1]) for p in init)
     w = solve_schwarz(s, n, w0, w1, w2)
-    return {"command": "ode", "config": cfg.to_dict(),
-            "solution": _complex_to_pairs(w.coeffs)}
+    return {"solution": _complex_to_pairs(w.coeffs)}
 
 
-def _cmd_invert(args) -> dict:
-    doc = _load_json(args.input or args.config)
-    cfg = _resolve_config(doc, args)
-    w = _series_from_spec(doc)
-    F = invert_expansion(w)
-    return {"command": "invert", "config": cfg.to_dict(),
-            "inverted": _complex_to_pairs(F.coeffs), "lowest": F.lowest}
+def _cmd_invert(doc: dict, cfg: RunConfig, args) -> dict:
+    F = invert_expansion(_series_from_spec(doc))
+    return {"inverted": _complex_to_pairs(F.coeffs), "lowest": F.lowest}
 
 
 def _target_from_spec(doc: dict):
@@ -193,9 +180,7 @@ def _target_from_spec(doc: dict):
     return lambda z: series.evaluate(z)
 
 
-def _cmd_approx(args) -> dict:
-    doc = _load_json(args.config)
-    cfg = _resolve_config(doc, args)
+def _cmd_approx(doc: dict, cfg: RunConfig, args) -> dict:
     target = _target_from_spec(doc)
     p = float(doc.get("p", 2.0))
     real_strengths = bool(doc.get("real_strengths", False))
@@ -203,7 +188,7 @@ def _cmd_approx(args) -> dict:
         n_max = int(doc["curve"])
         errors, fits = error_curve(target, n_max, p, real_strengths)
         return {
-            "command": "approx", "config": cfg.to_dict(), "p": p,
+            "p": p,
             "errors": [float(e) for e in errors],
             "fits": [{"angles": list(f.rational.angles),
                       "strengths": _complex_to_pairs(f.rational.strengths),
@@ -212,7 +197,7 @@ def _cmd_approx(args) -> dict:
     n_poles = int(doc.get("n_poles", 2))
     fit = fit_double_poles(target, n_poles, p, real_strengths)
     return {
-        "command": "approx", "config": cfg.to_dict(), "p": p,
+        "p": p,
         "angles": list(fit.rational.angles),
         "strengths": _complex_to_pairs(fit.rational.strengths),
         "sup_error": fit.sup_error,
@@ -221,15 +206,12 @@ def _cmd_approx(args) -> dict:
     }
 
 
-def _cmd_hsz(args) -> dict:
-    doc = _load_json(args.config) if args.config else {}
-    cfg = _resolve_config(doc, args)
+def _cmd_hsz(doc: dict, cfg: RunConfig, args) -> dict:
     space = _SPACES[doc.get("space", "hardy")]()
     n = int(doc.get("n", 0))
     budget = int(doc.get("budget", 1000))
     rec = hsz_search(space, n, budget, seed=cfg.seed)
     return {
-        "command": "hsz-search", "config": cfg.to_dict(),
         "space": space.name, "n": n, "budget": budget, "seed": rec.seed,
         "best_value": rec.best_value,
         "best_f": _complex_to_pairs(rec.best_f.coeffs) if rec.best_f is not None else None,
@@ -238,9 +220,7 @@ def _cmd_hsz(args) -> dict:
     }
 
 
-def _cmd_thm2(args) -> dict:
-    doc = _load_json(args.config) if args.config else {}
-    cfg = _resolve_config(doc, args)
+def _cmd_thm2(doc: dict, cfg: RunConfig, args) -> dict:
     space = _SPACES[doc.get("space", "hardy")]()
     fam = FamilySpec.random_b2(
         size=int(doc.get("samples", 1000)),
@@ -252,27 +232,23 @@ def _cmd_thm2(args) -> dict:
     rep = check_thm2_consistency(space, fam, n=int(doc.get("n", 2)), seed=cfg.seed)
     out = rep.to_dict()
     # row tables are bulky; keep them for CSV, summarize for JSON
-    if getattr(args, "format", "json") == "json":
+    if args.format == "json":
         out["rows"] = len(rep.rows)
         out["expansion_rows"] = len(rep.expansion_rows)
-    out.update({"command": "thm2-check", "config": cfg.to_dict(), "space": space.name})
+    out["space"] = space.name
     return out
 
 
-def _cmd_covering(args) -> dict:
-    doc = _load_json(args.input or args.config)
-    cfg = _resolve_config(doc, args)
+def _cmd_covering(doc: dict, cfg: RunConfig, args) -> dict:
     if "koebe" in doc:
         n = int(doc["koebe"])
         w = HoloSeries(np.arange(n + 1, dtype=np.complex128), radius=1.0)
     else:
         w = _series_from_spec(doc)
-    return {"command": "covering", "config": cfg.to_dict(),
-            "covering_radius": covering_radius(w)}
+    return {"covering_radius": covering_radius(w)}
 
 
-def _cmd_selftest(args) -> dict:
-    cfg = _resolve_config({}, args)
+def _cmd_selftest(doc: dict, cfg: RunConfig, args) -> dict:
     rng = np.random.default_rng(0)
     checks = []
 
@@ -308,8 +284,6 @@ def _cmd_selftest(args) -> dict:
 
     all_ok = all(e <= tol for _, e, tol in checks)
     return {
-        "command": "ops-selftest",
-        "config": cfg.to_dict(),
         "checks": [{"name": n, "max_error": e, "tol": t, "pass": bool(e <= t)}
                    for n, e, t in checks],
         "all_pass": all_ok,
@@ -337,8 +311,8 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
     for name in _COMMANDS:
         sp = sub.add_parser(name, add_help=True)
-        sp.add_argument("--config", help="JSON problem/config file")
-        sp.add_argument("--in", dest="input", help="JSON input file (series subcommands)")
+        sp.add_argument("--config", "--in", dest="config",
+                        help="JSON input file; its optional \"config\" block sets run fields")
         sp.add_argument("--out", help="write the report here instead of stdout")
         sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -359,11 +333,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     fn, needs_input = _COMMANDS[args.command]
-    if needs_input and not (args.config or getattr(args, "input", None)):
+    if needs_input and not args.config:
         sys.stderr.write(f"error: {args.command} requires --config or --in\n")
         return 1
     try:
-        report = fn(args)
+        doc = _load_json(args.config) if args.config else {}
+        cfg = _resolve_config(doc, args)
+        report = {**fn(doc, cfg, args), "command": args.command, "config": cfg.to_dict()}
     except QcdeformError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         _emit({"command": args.command, "error": str(exc),

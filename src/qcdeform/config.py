@@ -49,6 +49,11 @@ class RunConfig:
             raise ValueError("kappa_max must lie in (0, 1)")
         if self.n_rad < 2 or self.n_ang < 4:
             raise ValueError("quadrature grid too small")
+        for name in ("coeff_tol", "norm_tol", "neumann_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive; got {getattr(self, name)}")
+        if self.neumann_max_terms < 1:
+            raise ValueError(f"neumann_max_terms must be at least 1; got {self.neumann_max_terms}")
 
     def with_updates(self, **kw) -> "RunConfig":
         return replace(self, **kw)

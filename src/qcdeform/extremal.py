@@ -53,21 +53,26 @@ class SearchRecord:
     history: tuple  # (evaluation index, value, candidate) at each improvement
 
 
-def _normalized_exp(space: SpaceSpec, g_coeffs: np.ndarray, n_keep: int) -> HoloSeries:
-    g = np.zeros(n_keep + 1, dtype=np.complex128)
+# hsz_search candidates: exp of a degree-12 polynomial, kept to degree 48
+_DEGREE = 12
+_N_KEEP = 48
+
+
+def _normalized_exp(space: SpaceSpec, g_coeffs: np.ndarray) -> HoloSeries:
+    g = np.zeros(_N_KEEP + 1, dtype=np.complex128)
     g[: len(g_coeffs)] = g_coeffs
     f = HoloSeries(g, radius=np.inf).exp()
     nrm = hilbert_norm(space, f)
     return HoloSeries(f.coeffs / nrm, radius=1.0)
 
 
-def hsz_search(space: SpaceSpec, n: int, budget: int, seed: int = 0,
-               degree: int = 12, n_keep: int = 48) -> SearchRecord:
+def hsz_search(space: SpaceSpec, n: int, budget: int, seed: int = 0) -> SearchRecord:
     """Lower bound for sup |c_n| over zero-free f with ||f||_H = 1.
 
-    Every evaluated candidate is exp(polynomial) rescaled to unit norm, so it
-    is zero-free and on the unit sphere by construction.  Returns the best
-    value found within the evaluation budget.
+    Every evaluated candidate is exp(polynomial of degree 12), truncated at
+    degree 48 and rescaled to unit norm, so it is zero-free and on the unit
+    sphere by construction.  Returns the best value found within the
+    evaluation budget.
     """
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -75,7 +80,7 @@ def hsz_search(space: SpaceSpec, n: int, budget: int, seed: int = 0,
     history: list = []
     evals = 0
     sweep = (0.0, 0.25, 0.5, 0.75, 1.0)
-    scales = 0.5 ** np.arange(degree + 1)
+    scales = 0.5 ** np.arange(_DEGREE + 1)
     incumbent_g: np.ndarray | None = None
     fresh_count = 0
 
@@ -84,7 +89,7 @@ def hsz_search(space: SpaceSpec, n: int, budget: int, seed: int = 0,
         if evals >= budget:
             return False
         evals += 1
-        f = _normalized_exp(space, g_coeffs, n_keep)
+        f = _normalized_exp(space, g_coeffs)
         val = abs(f.coefficient(n))
         if val > best:
             best = val
@@ -94,12 +99,12 @@ def hsz_search(space: SpaceSpec, n: int, budget: int, seed: int = 0,
         return False
 
     while evals < budget:
-        g = scales * (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+        g = scales * (rng.standard_normal(_DEGREE + 1) + 1j * rng.standard_normal(_DEGREE + 1))
         fresh_count += 1
         improved_here = False
         for r in sweep:
-            if consider(g * r ** np.arange(degree + 1)):
-                incumbent_g = g * r ** np.arange(degree + 1)
+            if consider(g * r ** np.arange(_DEGREE + 1)):
+                incumbent_g = g * r ** np.arange(_DEGREE + 1)
                 improved_here = True
             if evals >= budget:
                 break
@@ -111,8 +116,8 @@ def hsz_search(space: SpaceSpec, n: int, budget: int, seed: int = 0,
             for _ in range(8):
                 if evals >= budget:
                     break
-                tweak = np.zeros(degree + 1, dtype=np.complex128)
-                m = int(rng.integers(0, degree + 1))
+                tweak = np.zeros(_DEGREE + 1, dtype=np.complex128)
+                m = int(rng.integers(0, _DEGREE + 1))
                 tweak[m] = step * np.exp(2j * np.pi * rng.random())
                 if consider(incumbent_g + tweak):
                     incumbent_g = incumbent_g + tweak
@@ -133,37 +138,21 @@ class FamilySpec:
     standard normal x, y, and scales down every member whose growth
     sup (1 - |z|^2)^2 |f(z)| could exceed ``b2_bound``: the scale uses a
     certified upper bound of that sup (:func:`_b2_ceiling`), so b2_bound is a
-    ceiling of every member, not a grid estimate.  ``ray`` is t * target for
-    t evenly spaced in [0, 1].
+    ceiling of every member, not a grid estimate.
     """
 
-    kind: str = "random_b2"
     size: int = 1000
     degree: int = 10
     sigma0: float = 0.2
     decay: float = 0.5
     b2_bound: float = 0.2
-    ray_target: HoloSeries | None = None
 
     @staticmethod
     def random_b2(size: int = 1000, degree: int = 10, sigma0: float = 0.2,
                   decay: float = 0.5, b2_bound: float = 0.2) -> "FamilySpec":
-        return FamilySpec("random_b2", size, degree, sigma0, decay, b2_bound)
-
-    @staticmethod
-    def ray(target: HoloSeries, size: int = 11) -> "FamilySpec":
-        return FamilySpec("ray", size=size, ray_target=target)
+        return FamilySpec(size, degree, sigma0, decay, b2_bound)
 
     def generate(self, seed: int) -> list[HoloSeries]:
-        if self.kind == "ray":
-            if self.ray_target is None:
-                raise ValueError("ray family needs its target function")
-            ts = np.linspace(0.0, 1.0, self.size)
-            return [HoloSeries(t * self.ray_target.coeffs,
-                               self.ray_target.center, self.ray_target.radius)
-                    for t in ts]
-        if self.kind != "random_b2":
-            raise ValueError(f"unknown family kind {self.kind!r}")
         rng = np.random.default_rng(seed)
         sig = self.sigma0 * self.decay ** np.arange(self.degree + 1)
         # one draw, in the order of per-member (real, imaginary) draws
@@ -263,32 +252,31 @@ class Thm2Report:
         }
 
 
+# check_thm2_consistency: slack of every comparison, the orders m = 3..6 of
+# the compared expansions, and the degree they are solved to
+_TOL = 1e-9
+_M_MAX = 6
+_ODE_DEGREE = 16
+
+
 def check_thm2_consistency(space: SpaceSpec, family, n: int = 2,
-                           samples: int | None = None, seed: int = 0,
-                           tol: float = 1e-9, m_max: int = 6,
-                           ode_degree: int = 16) -> Thm2Report:
+                           seed: int = 0) -> Thm2Report:
     """Tabulate the coefficient-domination inequalities on a sampled family.
 
     family is a FamilySpec or an iterable of HoloSeries.  The |c_n| of every
     member is compared against max(|c_1^0|, |c_n^0|) of the member maximizing
-    |c_1|; the expansions solving the attached second-order equation are
-    compared coefficientwise the same way.  All violations are listed.
+    |c_1|; the coefficients a_3..a_6 of the expansions solving the attached
+    second-order equation (solved to degree 16) are compared the same way.
+    Every comparison allows a slack of 1e-9, and all violations are listed.
     """
     if n < 0:
         raise ValueError("coefficient index n must be nonnegative")
-    if isinstance(family, FamilySpec):
-        if samples is not None:
-            family = FamilySpec(**{**family.__dict__, "size": samples})
-        members = family.generate(seed)
-    else:
-        members = list(family)
-        if samples is not None:
-            members = members[:samples]
+    members = family.generate(seed) if isinstance(family, FamilySpec) else list(family)
     if not members:
-        return Thm2Report(_HEADER, n, 0, seed, -1, 0.0, 0.0, (), (), (), (), tol)
+        return Thm2Report(_HEADER, n, 0, seed, -1, 0.0, 0.0, (), (), (), (), _TOL)
 
     # every coefficient the report reads: c_1, c_n and the Schwarzian orders
-    width = max(ode_degree - 1, n + 1, 2)
+    width = max(_ODE_DEGREE - 1, n + 1)
     coeffs = np.array([[f.coefficient(k) for k in range(width)] for f in members],
                       dtype=np.complex128)
     c1 = np.abs(coeffs[:, 1])
@@ -297,21 +285,19 @@ def check_thm2_consistency(space: SpaceSpec, family, n: int = 2,
     c1_0 = float(c1[i0])
     cn_0 = float(cn[i0])
     bound = max(c1_0, cn_0)
-    coeff_ok = cn <= bound + tol
+    coeff_ok = cn <= bound + _TOL
     rows = tuple(zip(range(len(members)), cn.tolist(), [bound] * len(members),
                      coeff_ok.tolist()))
     bad_coeff = tuple(np.flatnonzero(~coeff_ok).tolist())
 
-    # canonical solutions (jet 0, 1, 0) of every member at once; orders past
-    # ode_degree count as zero
-    w = np.zeros((len(members), max(ode_degree, m_max) + 1), dtype=np.complex128)
-    w[:, : ode_degree + 1] = _canonical_ratio(coeffs[:, : max(ode_degree - 1, 0)], ode_degree)
-    a = np.abs(w[:, : m_max + 1])
-    exp_ok = a[:, 3:] <= a[i0, 3:] + tol
+    # canonical solutions (jet 0, 1, 0) of every member at once
+    w = _canonical_ratio(coeffs[:, : _ODE_DEGREE - 1], _ODE_DEGREE)
+    a = np.abs(w[:, : _M_MAX + 1])
+    exp_ok = a[:, 3:] <= a[i0, 3:] + _TOL
     am, am0, oks = a.tolist(), a[i0].tolist(), exp_ok.tolist()
     exp_rows = tuple((i, m, am[i][m], am0[m], oks[i][m - 3])
-                     for i in range(len(members)) for m in range(3, m_max + 1))
+                     for i in range(len(members)) for m in range(3, _M_MAX + 1))
     bad_exp = tuple((int(i), int(m) + 3) for i, m in zip(*np.nonzero(~exp_ok)))
 
     return Thm2Report(_HEADER, n, len(members), seed, i0, c1_0, cn_0,
-                      rows, bad_coeff, exp_rows, bad_exp, tol)
+                      rows, bad_coeff, exp_rows, bad_exp, _TOL)

@@ -89,11 +89,11 @@ def solve_schwarz(s: HoloSeries, n: int, w0: complex = 0j, w1: complex = 1.0 + 0
     return w0 + w1 * (w_can * denom.reciprocal())
 
 
-def invert_expansion(w: HoloSeries, n_out: int | None = None) -> HoloSeries:
+def invert_expansion(w: HoloSeries) -> HoloSeries:
     """Expansion of 1/w(1/z) around infinity for w with w(0) = 0.
 
     Returns a series with lowest index -1: entry i is the coefficient of
-    z^(1-i).  Trusted outside the unit circle.
+    z^(1-i), with as many entries as w has.  Trusted outside the unit circle.
     """
     if w.is_laurent:
         raise ValueError("w must be a Taylor series")
@@ -102,18 +102,16 @@ def invert_expansion(w: HoloSeries, n_out: int | None = None) -> HoloSeries:
     a1 = w.coefficient(1)
     if a1 == 0:
         raise SingularDivisionError("w'(0) = 0 leaves no z-term to invert")
-    n_out = w.n_trunc - 1 if n_out is None else n_out
-    # w(zeta) = a1 zeta g(zeta),  g = 1 + sum a_{m}/a1 zeta^(m-1)
-    g = np.zeros(n_out + 2, dtype=np.complex128)
+    # w(zeta) = a1 zeta g(zeta),  g = 1 + sum a_{m}/a1 zeta^(m-1), with one
+    # zero slot past a_N so that F keeps len(w) entries
+    g = np.zeros(len(w.coeffs), dtype=np.complex128)
     g[0] = 1.0
-    top = min(len(w.coeffs) - 2, n_out)
-    for p in range(1, top + 1):
-        g[p] = w.coefficient(p + 1) / a1
+    g[1:-1] = w.coeffs[2:] / a1
     G = HoloSeries(g, radius=1.0).reciprocal()
     return HoloSeries(G.coeffs / a1, center=0j, radius=1.0, lowest=-1)
 
 
-def a_from_b(F: HoloSeries, n_out: int | None = None) -> HoloSeries:
+def a_from_b(F: HoloSeries) -> HoloSeries:
     """Inverse of :func:`invert_expansion`: recover w with w(0) = 0 from F.
 
     F(1/zeta) = p(zeta)/zeta with p the stored coefficients read as a Taylor
@@ -123,10 +121,8 @@ def a_from_b(F: HoloSeries, n_out: int | None = None) -> HoloSeries:
         raise ValueError("F must be an inverted expansion (lowest index -1)")
     if F.coeffs[0] == 0:
         raise SingularDivisionError("F has no z-term; w'(0) would vanish")
-    n_out = len(F.coeffs) if n_out is None else n_out
-    p = HoloSeries(F.coeffs[: n_out + 1], radius=1.0)
-    inv = p.reciprocal()
-    coeffs = np.concatenate([[0.0 + 0j], inv.coeffs[:n_out]])
+    inv = HoloSeries(F.coeffs, radius=1.0).reciprocal()
+    coeffs = np.concatenate([[0.0 + 0j], inv.coeffs])
     return HoloSeries(coeffs, radius=1.0)
 
 

@@ -15,7 +15,7 @@ routines in :mod:`qcdeform.schwarzian` produce and consume them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "HoloSeries",
     "RecoveredSeries",
     "coeffs_from_circle_samples",
-    "sample_circle",
 ]
 
 
@@ -170,30 +169,9 @@ class HoloSeries:
         k = np.arange(1, len(self.coeffs))
         return HoloSeries(self.coeffs[1:] * k, self.center, self.radius)
 
-    def dilate(self, r: float | complex) -> "HoloSeries":
-        """Coefficients of z -> f(r z).  r = 0 collapses to the constant term."""
-        self._check_taylor()
-        if self.center != 0:
-            raise ValueError("dilation is defined for series centered at 0")
-        scale = complex(r) ** np.arange(len(self.coeffs))
-        new_radius = self.radius / abs(r) if r != 0 else np.inf
-        return HoloSeries(self.coeffs * scale, self.center, new_radius)
-
     def exp(self) -> "HoloSeries":
         self._check_taylor()
         return HoloSeries(kernels.series_exp(self.coeffs), self.center, self.radius)
-
-    def pow_int(self, m: int) -> "HoloSeries":
-        if m < 0:
-            raise ValueError("nonnegative powers only")
-        out = HoloSeries(
-            np.concatenate(([1.0 + 0j], np.zeros(len(self.coeffs) - 1))),
-            self.center,
-            self.radius,
-        )
-        for _ in range(m):
-            out = out * self
-        return out
 
     def truncated(self, n: int) -> "HoloSeries":
         """Keep indices 0..n, padding with zeros when n exceeds the length."""
@@ -203,23 +181,6 @@ class HoloSeries:
         c[:m] = self.coeffs[:m]
         return HoloSeries(c, self.center, self.radius)
 
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def constant(value: complex, n: int = 0, center: complex = 0j, radius: float = np.inf):
-        c = np.zeros(n + 1, dtype=np.complex128)
-        c[0] = value
-        return HoloSeries(c, center, radius)
-
-    @staticmethod
-    def identity(n: int, center: complex = 0j, radius: float = np.inf):
-        """The function z itself, expanded around center."""
-        c = np.zeros(n + 1, dtype=np.complex128)
-        c[0] = center
-        if n >= 1:
-            c[1] = 1.0
-        return HoloSeries(c, center, radius)
-
 
 class RecoveredSeries(NamedTuple):
     series: HoloSeries
@@ -227,21 +188,13 @@ class RecoveredSeries(NamedTuple):
     coeff_error_bound: float  # alias bound amplified to the top kept index
 
 
-def sample_circle(fn: Callable, center: complex, rho_s: float, m: int) -> np.ndarray:
-    """Values of fn on the m-point uniform circle |z - center| = rho_s."""
-    ang = 2.0 * np.pi * np.arange(m) / m
-    z = center + rho_s * np.exp(1j * ang)
-    return np.asarray(fn(z), dtype=np.complex128)
-
-
 def coeffs_from_circle_samples(
     samples: np.ndarray,
     rho_s: float,
     n_keep: int,
-    center: complex = 0j,
     alias_tol: float = 1e-6,
 ) -> RecoveredSeries:
-    """Taylor coefficients 0..n_keep from uniform circle samples.
+    """Taylor coefficients 0..n_keep about 0 from uniform samples on |z| = rho_s.
 
     The sample count must be a power of two and at least 4 * n_keep, so the
     band between n_keep and half the sample count is pure tail; its largest
@@ -265,5 +218,5 @@ def coeffs_from_circle_samples(
         )
     powers = rho_s ** np.arange(n_keep + 1)
     coeffs = hat[: n_keep + 1] / powers
-    series = HoloSeries(coeffs, center=center, radius=rho_s)
+    series = HoloSeries(coeffs, radius=rho_s)
     return RecoveredSeries(series, alias, alias / powers[-1])

@@ -30,10 +30,8 @@ __all__ = [
     "dirichlet",
     "from_radial_measure",
     "hilbert_norm",
-    "hilbert_inner",
     "bp_norm",
     "monomial_bp_sup",
-    "estimate_embedding_constant",
 ]
 
 
@@ -73,22 +71,11 @@ def from_radial_measure(profile: Callable, name: str = "radial", n_quad: int = 2
     return SpaceSpec(name, weight_fn)
 
 
-def _taylor_coeffs(f: HoloSeries) -> np.ndarray:
+def hilbert_norm(space: SpaceSpec, f: HoloSeries) -> float:
     if f.is_laurent or f.center != 0:
         raise ValueError("Hilbert norms are defined for Taylor series centered at 0")
-    return f.coeffs
-
-
-def hilbert_norm(space: SpaceSpec, f: HoloSeries) -> float:
-    c = _taylor_coeffs(f)
+    c = f.coeffs
     return float(np.sqrt(np.sum(space.weights(len(c)) * np.abs(c) ** 2)))
-
-
-def hilbert_inner(space: SpaceSpec, f: HoloSeries, g: HoloSeries) -> complex:
-    cf = _taylor_coeffs(f)
-    cg = _taylor_coeffs(g)
-    n = min(len(cf), len(cg))
-    return complex(np.sum(space.weights(n) * cf[:n] * np.conj(cg[:n])))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +151,9 @@ def bp_norm(f, p: float, tol: float = 1e-6, max_level: int = 6) -> float:
         n_r = 16 * 2**level
         radii = np.arange(n_r) / n_r
         radii = np.concatenate([radii, 1.0 - 0.5 ** np.arange(1, 7 + level)])
-        radii = np.unique(radii[radii <= r_max])
+        # sorted with repeats dropped (np.unique would import numpy.ma, 1.5 MB)
+        radii = np.sort(radii[radii <= r_max])
+        radii = radii[np.append(True, radii[1:] > radii[:-1])]
         n_a = 64 * 2**level
         theta = 2.0 * np.pi * np.arange(n_a) / n_a
         z = np.outer(radii, np.exp(1j * theta))
@@ -199,17 +188,3 @@ def monomial_bp_sup(n: int, p: float) -> tuple[float, float]:
     t2 = n / (n + 2.0 * p)
     return (1.0 - t2) ** p * t2 ** (n / 2.0), math.sqrt(t2)
 
-
-def estimate_embedding_constant(space: SpaceSpec, p: float, n_max: int = 400) -> tuple[float, int]:
-    """Largest monomial ratio bp_norm(z^n) / hilbert_norm(z^n) up to degree n_max.
-
-    A certified lower bound for the embedding constant of the space into the
-    growth class; returns the bound and the attaining degree.
-    """
-    w = space.weights(n_max + 1)
-    best, arg = 0.0, 0
-    for n in range(n_max + 1):
-        val = monomial_bp_sup(n, p)[0] / math.sqrt(w[n])
-        if val > best:
-            best, arg = val, n
-    return best, arg

@@ -77,7 +77,6 @@ __all__ = [
     "cauchy_chi",
     "cauchy_T",
     "local_matrix",
-    "asymptotic_T",
     "beurling_Pi",
     "terms_sup",
 ]
@@ -99,10 +98,6 @@ class Disk:
         if not self.radius > 0:
             raise ValueError("disk radius must be positive")
         object.__setattr__(self, "center", complex(self.center))
-
-    def gap_to(self, other_center: complex, other_radius: float) -> float:
-        """Distance between this disk and the closed disk (center, radius)."""
-        return abs(self.center - other_center) - self.radius - other_radius
 
 
 def _eval_terms(terms, z) -> np.ndarray:
@@ -464,13 +459,6 @@ def cauchy_T(rho: Density, w) -> np.ndarray:
     if inside.any():
         out[inside] = _mode_sum(*rho._expansion("cauchy"), w[inside] - rho.disk.center)
     return out
-
-
-def asymptotic_T(rho: Density, w) -> np.ndarray:
-    """Leading small-radius model rho(center) * radius^2 / (w - center)."""
-    w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
-    rho_c = rho.eval_points(np.array([rho.disk.center]))[0]
-    return rho_c * rho.disk.radius**2 / (w - rho.disk.center)
 
 
 def beurling_Pi(rho: Density, w) -> np.ndarray:

@@ -56,6 +56,22 @@ def test_missing_input_flag(capsys):
     assert "requires" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("neumann_max_terms", 0),
+    ("neumann_tol", -1.0),
+    ("coeff_tol", 0.0),
+    ("norm_tol", 0.0),
+])
+def test_unusable_config_value_is_config_error(tmp_path, capsys, field, value):
+    doc = {"disk": {"center": [0.0, 0.0], "radius": 1.0},
+           "mu": {"constant": [0.05, 0.0]}, "config": {**FAST, field: value}}
+    path = write_doc(tmp_path, "verify.json", doc)
+    code, out, err = run(["verify", "--config", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error") and field in err
+
+
 def test_missing_config_key_is_config_error(tmp_path, capsys):
     # deform without its disk: KeyError inside the handler, not a crash
     path = write_doc(tmp_path, "bad.json", {"f": [[0, 0], [1, 0]], "j": 1, "n": 3})
@@ -275,6 +291,33 @@ def test_ops_selftest_passes(capsys):
 
 # ---------------------------------------------------------------------------
 # report plumbing
+
+
+_DEFORM_DOC = {
+    "f": [[0, 0], [1, 0], [0.01, 0], [0, -0.005], [0.003, 0], [0.001, 0]],
+    "disk": {"center": [2.2, 0.0], "radius": 1.1},
+    "j": 1,
+    "n": 3,
+    "d": [[1e-5, 0], [5e-6, 0]],
+    "a": 1e-6,
+    "config": FAST,
+}
+_APPROX_DOC = {"target": {"poles": [0.6, 2.9], "strengths": [[1.2, -0.3], [0.8, 0.5]]},
+               "n_poles": 2}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("deform", _DEFORM_DOC),
+    ("approx", _APPROX_DOC),
+    ("hsz-search", {"n": 1, "budget": 30, "config": {"seed": 3}}),
+], ids=["deform", "approx", "hsz-search"])
+def test_in_is_a_second_spelling_of_config(tmp_path, capsys, command, doc):
+    path = write_doc(tmp_path, "input.json", doc)
+    code, via_config, _ = run([command, "--config", path], capsys)
+    assert code == 0
+    code, via_in, _ = run([command, "--in", path], capsys)
+    assert code == 0
+    assert via_in == via_config
 
 
 def test_same_config_and_seed_byte_identical(tmp_path, capsys):

@@ -44,15 +44,6 @@ def test_search_candidates_keep_their_invariants():
     assert np.min(np.abs(f.evaluate(grid))) > 1e-8
 
 
-def test_ray_family_scales_its_target():
-    target = HoloSeries(np.array([0.1, 0.2j, -0.05], dtype=complex), radius=np.inf)
-    members = FamilySpec.ray(target, size=5).generate(seed=123)
-    assert len(members) == 5
-    assert np.allclose(members[0].coeffs, 0.0)
-    assert np.allclose(members[-1].coeffs, target.coeffs)
-    assert np.allclose(members[2].coeffs, 0.5 * target.coeffs)
-
-
 def test_family_generation_is_seed_deterministic():
     spec = FamilySpec.random_b2(size=3, degree=6)
     a = spec.generate(seed=5)
@@ -83,16 +74,17 @@ def test_consistency_report_expansions_match_solve_schwarz():
     members = [HoloSeries(np.array([0.1, -0.2j], dtype=complex)),
                HoloSeries(np.array([0.05, 0.3, 0.1 + 0.1j, -0.02], dtype=complex)),
                HoloSeries(np.array([-0.2], dtype=complex))]
-    rep = check_thm2_consistency(hardy(), members, n=3, m_max=8, ode_degree=6)
+    rep = check_thm2_consistency(hardy(), members, n=3)
     assert rep.f0_index == 1
     assert rep.cn_0 == pytest.approx(0.02)
-    a0 = [abs(solve_schwarz(members[1], 6).coefficient(m)) for m in range(9)]
+    # the report solves to degree 16 and compares the orders 3..6
+    a0 = [abs(solve_schwarz(members[1], 16).coefficient(m)) for m in range(7)]
     for i, m, am, am0, ok in rep.expansion_rows:
-        want = abs(solve_schwarz(members[i], 6).coefficient(m))
+        want = abs(solve_schwarz(members[i], 16).coefficient(m))
         assert am == pytest.approx(want, rel=1e-13, abs=1e-16)
         assert am0 == pytest.approx(a0[m], rel=1e-13, abs=1e-16)
         assert ok == (am <= am0 + rep.tol)
-    assert len(rep.expansion_rows) == 3 * 6
+    assert len(rep.expansion_rows) == 3 * 4
 
 
 def test_consistency_report_on_sampled_family():
@@ -107,12 +99,6 @@ def test_consistency_report_on_sampled_family():
     # order; violations there are reported, not errors
     assert len(rep.expansion_rows) == 40 * 4
     json.dumps(rep.to_dict())
-
-
-def test_consistency_report_trims_to_requested_samples():
-    rep = check_thm2_consistency(
-        hardy(), FamilySpec.random_b2(size=40), n=2, samples=10, seed=0)
-    assert rep.n_samples == 10
 
 
 def test_consistency_report_on_empty_family():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qcdeform.errors import SingularDivisionError
-from qcdeform.extremal import FamilySpec
 from qcdeform.schwarzian import (
     _canonical_ratio,
     _ring_values,
@@ -85,8 +84,9 @@ def _loop_ratio(sc, n):
     return c
 
 
-_RAY = FamilySpec.ray(HoloSeries(0.4 ** np.arange(12) * np.exp(0.7j * np.arange(12))),
-                      size=6).generate(seed=0)
+# the ray t * target, t = 0, 0.2, .., 1
+_RAY = [HoloSeries(t * 0.4 ** np.arange(12) * np.exp(0.7j * np.arange(12)))
+        for t in np.linspace(0.0, 1.0, 6)]
 # members shorter than the ODE order: missing coefficients count as zero
 _SHORT = [HoloSeries(np.array([0.3 - 0.1j])),
           HoloSeries(np.array([-0.2, 0.15j, 0.05], dtype=complex)),
