@@ -39,7 +39,8 @@ def solve_neumann(mu: Density, config: RunConfig | None = None) -> NeumannResult
     Raises DilatationBoundError when ||mu||_inf reaches the config's
     kappa_max, DivergenceError when a term stops contracting,
     ConvergenceError when neumann_max_terms terms leave a tail above
-    neumann_tol.
+    neumann_tol, naming the last contraction ratio and the term count it
+    predicts.
     """
     cfg = config or DEFAULT_CONFIG
     tol, max_terms = cfg.neumann_tol, cfg.neumann_max_terms
@@ -51,6 +52,7 @@ def solve_neumann(mu: Density, config: RunConfig | None = None) -> NeumannResult
     total = term.copy()
     prev = float(np.max(np.abs(term)))
     scale = max(prev, 1e-300)
+    before = prev
     n_terms = 1
     for _ in range(1, max_terms):
         term = mu.values * Density.from_grid(mu.disk, term, mu.grid).beurling_on_grid()
@@ -63,9 +65,15 @@ def solve_neumann(mu: Density, config: RunConfig | None = None) -> NeumannResult
             raise DivergenceError(
                 f"Neumann term grew from {prev:.3g} to {tn:.3g} at term {n_terms}; "
                 "the discretized series is not contracting")
-        prev = tn
-    raise ConvergenceError(
-        f"Neumann tail still {prev / scale:.3g} relative after {max_terms} terms (tol {tol:.3g})")
+        before, prev = prev, tn
+    msg = f"Neumann tail still {prev / scale:.3g} relative after {max_terms} terms (tol {tol:.3g})"
+    if n_terms > 1:
+        # terms shrink geometrically at the last measured ratio (below 1, or
+        # DivergenceError would have been raised)
+        ratio = prev / before
+        need = n_terms + int(np.ceil(np.log(tol * scale / prev) / np.log(ratio)))
+        msg += f"; contraction ratio {ratio:.3g} predicts {need} terms"
+    raise ConvergenceError(msg)
 
 
 @dataclass(eq=False)

@@ -51,9 +51,16 @@ def _complex_to_pairs(arr) -> list:
     return [[float(np.real(v)), float(np.imag(v))] for v in np.atleast_1d(arr)]
 
 
+_JSON_TYPES = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} holds {_JSON_TYPES[type(doc)]}, not a JSON object")
+    return doc
 
 
 def _series_from_spec(spec) -> HoloSeries:

@@ -107,6 +107,21 @@ def test_budget_exhaustion_reports_convergence_failure():
         solve_neumann(mu, config=RunConfig(neumann_tol=1e-12, neumann_max_terms=3))
 
 
+def test_convergence_refusal_names_ratio_and_predicted_terms():
+    # 20 default terms leave a 6.1e-12 tail; the last ratio, 0.289, says 22
+    # terms reach neumann_tol, and 22 do
+    disk = Disk(2.2 + 0j, 1.1)
+
+    def fn(z):
+        u = (z - disk.center) / disk.radius
+        return 0.3 * np.conj(u) / np.abs(u)
+
+    mu = Density.from_function(disk, fn)
+    with pytest.raises(ConvergenceError, match=r"contraction ratio 0\.289 predicts 22 terms"):
+        solve_neumann(mu)
+    assert solve_neumann(mu, config=RunConfig(neumann_max_terms=22)).n_terms == 22
+
+
 def test_anti_analytic_dilatation_needs_two_terms_only():
     # the transform of an anti-analytic density vanishes on the disk, so the
     # second term is pure grid noise and the series stops there

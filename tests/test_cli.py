@@ -80,6 +80,17 @@ def test_missing_config_key_is_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("command", ["hsz-search", "deform"])
+@pytest.mark.parametrize("doc, kind", [([1, 2], "an array"), (3.5, "a number"),
+                                       ("text", "a string")])
+def test_input_that_is_not_an_object_is_config_error(tmp_path, capsys, command, doc, kind):
+    path = write_doc(tmp_path, "not-object.json", doc)
+    code, out, err = run([command, "--in", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error") and kind in err
+
+
 def test_nonexistent_file_is_config_error(tmp_path, capsys):
     code, _, err = run(["schwarzian", "--in", str(tmp_path / "nope.json")], capsys)
     assert code == 1
