@@ -1,15 +1,14 @@
 """Hot numerical kernels, in plain numpy.
 
-Polynomial evaluation at many points (``horner_many``), the Cauchy
-quadrature sum over a set of nodes (``cauchy_sum``) and the exponential
-recurrence of a power series (``series_exp``).  They live in one module so
-that callers and profilers can find them by name; perfbench traces
-``horner_many`` and ``cauchy_sum`` by these module attributes.
+Polynomial evaluation at many points (``horner_many``) and the Cauchy
+quadrature sum over a set of nodes (``cauchy_sum``).  They live in one module
+so that callers and profilers can find them by name; perfbench traces both
+by these module attributes.
 
-All kernels take plain contiguous complex128/float64 arrays.  The quadrature
-sum omits the -1/pi prefactor of the transform; its one caller applies it,
-and calls it only at targets far outside the support, where no node
-coincides with a target.
+Both take plain contiguous complex128/float64 arrays.  The quadrature sum
+omits the -1/pi prefactor of the transform; its one caller applies it, and
+calls it only at targets far outside the support, where no node coincides
+with a target.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 __all__ = [
     "horner_many",
     "cauchy_sum",
-    "series_exp",
 ]
 
 # target-block size for the pair sum: one 16 x 6144 complex block of the
@@ -46,14 +44,3 @@ def cauchy_sum(nodes, weights, rho, targets):
         np.divide(wr, pairs, out=pairs)
         out[lo : lo + _CHUNK] = pairs.sum(axis=1)
     return out
-
-
-def series_exp(g: np.ndarray) -> np.ndarray:
-    n = len(g)
-    f = np.zeros(n, dtype=np.complex128)
-    f[0] = np.exp(g[0])
-    kg = np.arange(n) * g
-    for m in range(1, n):
-        # m * f_m = sum_{k=1..m} k g_k f_{m-k}
-        f[m] = np.dot(kg[1 : m + 1], f[m - 1 :: -1][: m]) / m
-    return f

@@ -76,6 +76,8 @@ def solve_schwarz(s: HoloSeries, n: int, w0: complex = 0j, w1: complex = 1.0 + 0
     first-order data, forms the canonical ratio, then applies the Moebius map
     matching the requested jet.  Missing coefficients of s count as zero.
     """
+    if n < 0:
+        raise ValueError(f"the solution order n must be nonnegative, got n = {n}")
     if w1 == 0:
         raise SingularDivisionError("w'(0) must not vanish")
     sc = np.array([[s.coefficient(k) for k in range(max(n - 1, 0))]], dtype=np.complex128)

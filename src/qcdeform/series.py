@@ -29,6 +29,18 @@ __all__ = [
 ]
 
 
+def _series_exp(g: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of exp(g), as many as g has (``HoloSeries.exp``)."""
+    n = len(g)
+    f = np.zeros(n, dtype=np.complex128)
+    f[0] = np.exp(g[0])
+    kg = np.arange(n) * g
+    for m in range(1, n):
+        # m * f_m = sum_{k=1..m} k g_k f_{m-k}
+        f[m] = np.dot(kg[1 : m + 1], f[m - 1 :: -1][: m]) / m
+    return f
+
+
 @dataclass(eq=False)
 class HoloSeries:
     coeffs: np.ndarray
@@ -171,7 +183,7 @@ class HoloSeries:
 
     def exp(self) -> "HoloSeries":
         self._check_taylor()
-        return HoloSeries(kernels.series_exp(self.coeffs), self.center, self.radius)
+        return HoloSeries(_series_exp(self.coeffs), self.center, self.radius)
 
     def truncated(self, n: int) -> "HoloSeries":
         """Keep indices 0..n, padding with zeros when n exceeds the length."""

@@ -8,7 +8,8 @@ with a radial profile W(t) induces weights through its moments
     w_k = 2 pi * integral_0^1 t^(2k+1) W(t) dt.
 
 The growth seminorm bp_norm is sup over the disk of (1 - |z|^2)^p |f(z)|,
-estimated on nested polar grids so refinement can only increase the value.
+located by two fixed polar scans and polished by whole-array line searches
+in radius and angle.
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ def hilbert_norm(space: SpaceSpec, f: HoloSeries) -> float:
 # ---------------------------------------------------------------------------
 # growth seminorm
 
+# bp_norm's two polar scans: n_r uniform radii, the rings 1 - 2^-j nearer the
+# circle than those, and n_a angles
+_SCANS = ((16, (5, 6), 64), (32, (6, 7), 128))
+_LINE_POINTS = 65   # points per pass of a line search
+_LINE_PASSES = 4    # passes per line search, each narrowing to two spacings
+
 
 def _trust_radius(f: HoloSeries) -> float:
     """Radius inside which the truncated series still represents its function."""
@@ -101,36 +108,28 @@ def _trust_radius(f: HoloSeries) -> float:
     return lo
 
 
-def _golden_max(g, lo: float, hi: float, n_iter: int = 28) -> tuple[float, float]:
-    """Peak of g on [lo, hi] as (value, argmax); g unimodal there."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(n_iter):
-        if gc >= gd:
-            b, d, gd = d, c, gc
-            c = b - inv_phi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + inv_phi * (b - a)
-            gd = g(d)
-    return (gc, c) if gc >= gd else (gd, d)
+def _line_max(g, lo: float, hi: float) -> tuple[float, float]:
+    """(value, argmax) of g on [lo, hi], g taking and returning arrays."""
+    for _ in range(_LINE_PASSES):
+        x = np.linspace(lo, hi, _LINE_POINTS)
+        v = g(x)
+        i = int(np.argmax(v))
+        lo, hi = x[max(i - 1, 0)], x[min(i + 1, _LINE_POINTS - 1)]
+    return float(v[i]), float(x[i])
 
 
-def bp_norm(f, p: float, tol: float = 1e-6, max_level: int = 6) -> float:
+def bp_norm(f, p: float) -> float:
     """sup over the disk of (1 - |z|^2)^p |f(z)|.
 
-    f is a callable on complex arrays or a HoloSeries.  Nested grids locate
-    the maximizing region (each level contains the previous one, so the scan
-    estimate grows monotonically and stops when a full level gains less than
-    tol relatively); the best grid point is then polished by golden section
-    in radius and angle, which resolves a smooth peak well past the grid
-    spacing that located it.
+    f is a callable on complex arrays or a HoloSeries.  Two fixed polar scans
+    locate the peak; the best point of the scan with the larger value (the
+    first on a tie) is polished by three rounds of a radius and an angle line
+    search within one step of that scan.  Raises ValueError naming a point
+    where (1 - |z|^2)^p |f(z)| is not finite.
     """
+    r_max, fn = 1.0 - 1e-12, f
     if isinstance(f, HoloSeries):
-        r_max = min(f.radius * (1.0 - 1e-12), 1.0 - 1e-12)
+        r_max, fn = min(f.radius * (1.0 - 1e-12), r_max), f.evaluate
         # the sup is that of the stored polynomial, computed exactly; warn when
         # a series long enough to be a truncation has not decayed by its end
         # (an infinite radius marks an exact polynomial, which truncates nothing)
@@ -141,43 +140,33 @@ def bp_norm(f, p: float, tol: float = 1e-6, max_level: int = 6) -> float:
                     "series coefficients have not decayed by the truncation "
                     f"point; values are only trusted up to |z| = {trust:.3f}",
                     stacklevel=2)
-        fn = lambda z: f.evaluate(z)
-    else:
-        r_max = 1.0 - 1e-12
-        fn = f
-    best = 0.0
-    best_r, best_th, h_r, h_th = 0.0, 0.0, 1.0 / 16.0, 2.0 * np.pi / 64.0
-    for level in range(max_level + 1):
-        n_r = 16 * 2**level
-        radii = np.arange(n_r) / n_r
-        radii = np.concatenate([radii, 1.0 - 0.5 ** np.arange(1, 7 + level)])
-        # sorted with repeats dropped (np.unique would import numpy.ma, 1.5 MB)
-        radii = np.sort(radii[radii <= r_max])
-        radii = radii[np.append(True, radii[1:] > radii[:-1])]
-        n_a = 64 * 2**level
+
+    def height(z: np.ndarray, r) -> np.ndarray:
+        """(1 - r^2)^p |f(z)|, checked finite; r = |z|, exact where known (from
+        the rounded |z|, 1 - |z|^2 is 2e-4 off at |z| = 1 - 1e-12)."""
+        vals = (1.0 - r**2) ** p * np.abs(fn(z.ravel())).reshape(z.shape)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise ValueError(f"(1 - |z|^2)^p |f(z)| is not finite at z = {complex(z[bad][0])}")
+        return vals
+
+    # f = 0 keeps the start at the center with the first scan's steps
+    best, r, th, h_r, h_th = 0.0, 0.0, 0.0, 1.0 / 16.0, 2.0 * np.pi / 64.0
+    for n_r, rings, n_a in _SCANS:
+        radii = np.append(np.arange(n_r) / n_r, 1.0 - 0.5 ** np.array(rings))
+        radii = radii[radii <= r_max]
         theta = 2.0 * np.pi * np.arange(n_a) / n_a
         z = np.outer(radii, np.exp(1j * theta))
-        vals = (1.0 - np.abs(z) ** 2) ** p * np.abs(fn(z.ravel())).reshape(z.shape)
+        vals = height(z, np.abs(z))
         i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        cur = float(vals[i, j])
-        if cur > best:
-            best = cur
-            best_r, best_th = float(radii[i]), float(theta[j])
+        if vals[i, j] > best:
+            best, r, th = float(vals[i, j]), float(radii[i]), float(theta[j])
             h_r, h_th = 1.0 / n_r, 2.0 * np.pi / n_a
-        if level > 0 and cur <= best * (1.0 + tol):
-            break
-
-    def height(r: float, th: float) -> float:
-        w = fn(np.array([r * np.exp(1j * th)], dtype=complex))
-        return float((1.0 - r * r) ** p * np.abs(w)[0])
-
-    r, th = best_r, best_th
     for _ in range(3):
-        val, r = _golden_max(lambda s: height(s, th),
+        val_r, r = _line_max(lambda s: height(s * np.exp(1j * th), s),
                              max(0.0, r - h_r), min(r_max, r + h_r))
-        best = max(best, val)
-        val, th = _golden_max(lambda t: height(r, t), th - h_th, th + h_th)
-        best = max(best, val)
+        val_th, th = _line_max(lambda t: height(r * np.exp(1j * t), r), th - h_th, th + h_th)
+        best = max(best, val_r, val_th)
     return best
 
 

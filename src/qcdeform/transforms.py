@@ -237,16 +237,15 @@ def _mode_sum(radii: np.ndarray, profiles: np.ndarray, freqs: np.ndarray,
 class Density:
     """A bounded measurable coefficient on a disk.
 
-    ``values`` always holds samples on the disk's quadrature grid.  At most
-    one exact evaluator rides along: conjugated pole ``terms`` or a user
-    ``fn``, never both.  Sums and scalings keep it where it survives; the
-    transforms and pairings read the samples only, through their modes.
+    ``values`` holds samples on the disk's quadrature grid; a density built
+    from conjugated pole ``terms`` keeps them too, for exact point values and
+    a certified sup.  The transforms and pairings read the samples only,
+    through their modes, and so do point values of a density without terms.
     """
 
     disk: Disk
     grid: PolarGrid
     values: np.ndarray
-    fn: Callable | None = None
     terms: tuple | None = None  # ((coeff, pole, k), ...) meaning coeff * conj((z-pole)^-k)
     _expansions: dict = field(default_factory=dict, repr=False)
 
@@ -254,8 +253,6 @@ class Density:
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
         if self.values.shape != (self.grid.size,):
             raise ValueError("values must be flat samples on the density's grid")
-        if self.fn is not None and self.terms is not None:
-            raise ValueError("a density carries pole terms or fn, not both")
 
     # -- constructors --------------------------------------------------------
 
@@ -273,9 +270,10 @@ class Density:
     @staticmethod
     def from_function(disk: Disk, fn: Callable, n_rad: int | None = None,
                       n_ang: int | None = None) -> "Density":
+        """The samples of fn on the disk's grid; fn itself is not kept."""
         grid = polar_grid(disk.center, disk.radius,
                           n_rad or DEFAULT_CONFIG.n_rad, n_ang or DEFAULT_CONFIG.n_ang)
-        return Density(disk, grid, np.asarray(fn(grid.nodes), dtype=np.complex128), fn)
+        return Density(disk, grid, fn(grid.nodes))
 
     @staticmethod
     def from_grid(disk: Disk, values: np.ndarray, grid: PolarGrid) -> "Density":
@@ -285,34 +283,6 @@ class Density:
     def constant(disk: Disk, value: complex, n_rad: int | None = None,
                  n_ang: int | None = None) -> "Density":
         return Density.from_terms(disk, [(complex(value), 0j, 0)], n_rad, n_ang)
-
-    # -- algebra --------------------------------------------------------------
-
-    def _compatible(self, other: "Density"):
-        if (self.disk != other.disk or self.grid.n_rad != other.grid.n_rad
-                or self.grid.n_ang != other.grid.n_ang):
-            raise ValueError("densities live on different grids")
-
-    def __add__(self, other: "Density") -> "Density":
-        self._compatible(other)
-        values = self.values + other.values
-        if self.terms is not None and other.terms is not None:
-            return Density(self.disk, self.grid, values, terms=self.terms + other.terms)
-        fn = None
-        if all(d.terms is not None or d.fn is not None for d in (self, other)):
-            fn = lambda z: self.eval_points(z) + other.eval_points(z)
-        return Density(self.disk, self.grid, values, fn)
-
-    def __mul__(self, scalar) -> "Density":
-        s = complex(scalar)
-        if self.terms is not None:
-            return Density(self.disk, self.grid, self.values * s,
-                           terms=tuple((c * s, p, k) for c, p, k in self.terms))
-        g = self.fn
-        fn = None if g is None else (lambda z: s * g(z))
-        return Density(self.disk, self.grid, self.values * s, fn)
-
-    __rmul__ = __mul__
 
     @property
     def sup(self) -> float:
@@ -332,15 +302,13 @@ class Density:
     def eval_points(self, z) -> np.ndarray:
         """Values at arbitrary points of the closed disk.
 
-        Uses the pole terms or fn when one is attached, otherwise trigonometric
+        Uses the pole terms when the density has them, otherwise trigonometric
         interpolation in the angle and barycentric polynomial interpolation in
         the radius of the stored grid samples.
         """
         z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
         if self.terms is not None:
             return _eval_terms(self.terms, z)
-        if self.fn is not None:
-            return np.asarray(self.fn(z), dtype=np.complex128)
         return _mode_sum(*self._expansion("density"), z - self.disk.center)
 
     def _expansion(self, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -144,6 +144,16 @@ def test_ode_with_zero_coefficients_gives_identity(tmp_path, capsys):
     assert np.allclose(sol, want, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+def test_ode_with_negative_order_is_config_error(tmp_path, capsys, n):
+    path = write_doc(tmp_path, "negative.json", {"series": [[0.0, 0.0]], "n": n})
+    code, out, err = run(["ode", "--in", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error") and f"n = {n}" in err
+    assert "Traceback" not in err
+
+
 def test_invert_reports_descending_coefficients(tmp_path, capsys):
     path = write_doc(tmp_path, "w.json", {"series": [[0, 0], [1, 0], [0.3, 0]]})
     code, out, _ = run(["invert", "--in", path], capsys)

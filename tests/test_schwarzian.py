@@ -177,3 +177,14 @@ def test_singular_jets_rejected():
         a_from_b(HoloSeries(np.array([0.0, 1.0], dtype=complex)))
     with pytest.raises(SingularDivisionError):
         a_from_b(HoloSeries(np.array([0.0, 1.0, 0.5], dtype=complex), lowest=-1))
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_solve_schwarz_refuses_negative_order(n):
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        solve_schwarz(koebe_schwarzian(8), n)
+
+
+def test_solve_schwarz_of_order_zero_is_the_constant():
+    w = solve_schwarz(koebe_schwarzian(8), 0, w0=0.5 - 2j)
+    assert np.array_equal(w.coeffs, [0.5 - 2j])

@@ -66,7 +66,7 @@ def test_bp_norm_matches_monomial_formula():
     for n in (2, 5):
         f = HoloSeries(np.concatenate([np.zeros(n), [1.0]]) + 0j)
         want, _ = monomial_bp_sup(n, 2.0)
-        assert bp_norm(f, 2.0, tol=1e-9, max_level=7) == pytest.approx(want, rel=1e-6)
+        assert bp_norm(f, 2.0) == pytest.approx(want, rel=1e-6)
 
 
 def test_bp_norm_of_constant():
@@ -75,9 +75,47 @@ def test_bp_norm_of_constant():
 
 
 def test_bp_norm_accepts_callables():
-    got = bp_norm(lambda z: np.asarray(z) ** 3, 2.0, tol=1e-9, max_level=7)
+    got = bp_norm(lambda z: np.asarray(z) ** 3, 2.0)
     want, _ = monomial_bp_sup(3, 2.0)
     assert got == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_bp_norm_of_monomial_is_exact(n):
+    f = HoloSeries(np.concatenate([np.zeros(n), [1.0]]) + 0j)
+    want, _ = monomial_bp_sup(n, 2.0)
+    assert bp_norm(f, 2.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_bp_norm_of_zero_function_is_zero():
+    assert bp_norm(lambda z: np.zeros_like(z), 2.0) == 0.0
+
+
+def test_bp_norm_names_a_point_where_the_target_is_not_finite():
+    sizes = []
+
+    def f(z):
+        z = np.asarray(z)
+        sizes.append(z.size)
+        return np.where(np.abs(z) > 0.6, np.nan, z)
+
+    with pytest.raises(ValueError, match="not finite at z = ") as info:
+        bp_norm(f, 2.0)
+    named = complex(str(info.value).split("z = ")[1])
+    assert abs(named) > 0.6
+    # the first scan already sees the NaN; no finer grid is ever built
+    assert max(sizes) <= 4352
+
+
+def test_bp_norm_evaluates_f_on_whole_arrays():
+    calls = []
+
+    def f(z):
+        calls.append(np.size(z))
+        return np.asarray(z) ** 3
+
+    bp_norm(f, 2.0)
+    assert len(calls) <= 30
 
 
 def test_bp_norm_leaves_numpy_ma_unloaded():
@@ -97,7 +135,7 @@ def test_bp_norm_warns_when_tail_dominates():
     # slowly decaying coefficients keep the trusted radius away from 1
     f = HoloSeries(0.999 ** np.arange(12) + 0j, radius=1.0 / 0.999)
     with pytest.warns(UserWarning):
-        bp_norm(f, 2.0, max_level=2)
+        bp_norm(f, 2.0)
 
 
 def test_bp_norm_trusts_exact_polynomials():
@@ -105,5 +143,5 @@ def test_bp_norm_trusts_exact_polynomials():
     f = HoloSeries(0.999 ** np.arange(12) + 0j, radius=np.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bp_norm(f, 2.0, max_level=2)
+        bp_norm(f, 2.0)
 
