@@ -58,12 +58,10 @@ _DEGREE = 12
 _N_KEEP = 48
 
 
-def _normalized_exp(space: SpaceSpec, g_coeffs: np.ndarray) -> HoloSeries:
+def _exp_coeffs(g_coeffs: np.ndarray) -> np.ndarray:
     g = np.zeros(_N_KEEP + 1, dtype=np.complex128)
     g[: len(g_coeffs)] = g_coeffs
-    f = HoloSeries(g, radius=np.inf).exp()
-    nrm = hilbert_norm(space, f)
-    return HoloSeries(f.coeffs / nrm, radius=1.0)
+    return HoloSeries(g, radius=np.inf).exp().coeffs
 
 
 def hsz_search(space: SpaceSpec, n: int, budget: int, seed: int = 0) -> SearchRecord:
@@ -84,12 +82,13 @@ def hsz_search(space: SpaceSpec, n: int, budget: int, seed: int = 0) -> SearchRe
     incumbent_g: np.ndarray | None = None
     fresh_count = 0
 
-    def consider(g_coeffs: np.ndarray) -> bool:
+    def consider(exp_coeffs: np.ndarray) -> bool:
         nonlocal best, best_f, evals
         if evals >= budget:
             return False
         evals += 1
-        f = _normalized_exp(space, g_coeffs)
+        nrm = hilbert_norm(space, HoloSeries(exp_coeffs))
+        f = HoloSeries(exp_coeffs / nrm, radius=1.0)
         val = abs(f.coefficient(n))
         if val > best:
             best = val
@@ -101,17 +100,16 @@ def hsz_search(space: SpaceSpec, n: int, budget: int, seed: int = 0) -> SearchRe
     while evals < budget:
         g = scales * (rng.standard_normal(_DEGREE + 1) + 1j * rng.standard_normal(_DEGREE + 1))
         fresh_count += 1
-        improved_here = False
+        # exp(g(r z)) = exp(g)(r z): one exp per sweep; + 0.0 makes r = 0's -0.0 the +0.0 of exp
+        exp_g = _exp_coeffs(g)
         for r in sweep:
-            if consider(g * r ** np.arange(_DEGREE + 1)):
-                incumbent_g = g * r ** np.arange(_DEGREE + 1)
-                improved_here = True
-            if evals >= budget:
-                break
-        if improved_here is False and incumbent_g is None:
+            dilation = r ** np.arange(_N_KEEP + 1)
+            if consider(exp_g * dilation + 0.0):
+                incumbent_g = g * dilation[: _DEGREE + 1]
+        if incumbent_g is None:
             incumbent_g = g
         # periodic local ascent around the incumbent
-        if fresh_count % 16 == 0 and incumbent_g is not None and evals < budget:
+        if fresh_count % 16 == 0 and evals < budget:
             step = 0.25
             for _ in range(8):
                 if evals >= budget:
@@ -119,7 +117,7 @@ def hsz_search(space: SpaceSpec, n: int, budget: int, seed: int = 0) -> SearchRe
                 tweak = np.zeros(_DEGREE + 1, dtype=np.complex128)
                 m = int(rng.integers(0, _DEGREE + 1))
                 tweak[m] = step * np.exp(2j * np.pi * rng.random())
-                if consider(incumbent_g + tweak):
+                if consider(_exp_coeffs(incumbent_g + tweak)):
                     incumbent_g = incumbent_g + tweak
                 else:
                     step *= 0.7
@@ -277,8 +275,7 @@ def check_thm2_consistency(space: SpaceSpec, family, n: int = 2,
 
     # every coefficient the report reads: c_1, c_n and the Schwarzian orders
     width = max(_ODE_DEGREE - 1, n + 1)
-    coeffs = np.array([[f.coefficient(k) for k in range(width)] for f in members],
-                      dtype=np.complex128)
+    coeffs = np.array([f.truncated(width - 1).coeffs for f in members])
     c1 = np.abs(coeffs[:, 1])
     cn = np.abs(coeffs[:, n])
     i0 = int(np.argmax(c1))

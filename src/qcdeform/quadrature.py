@@ -78,11 +78,12 @@ def barycentric_matrix(x: np.ndarray, xq: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     xq = np.asarray(xq, dtype=np.float64)
     bw = barycentric_weights(x)
-    d = xq[:, None] - x[None, :]
-    exact = np.abs(d) < 1e-14
-    d = np.where(exact, 1.0, d)
-    terms = bw[None, :] / d
-    B = terms / terms.sum(axis=1)[:, None]
+    # d, the terms and B share one array: callers pass thousands of points at once
+    B = xq[:, None] - x[None, :]
+    exact = np.abs(B) < 1e-14
+    B[exact] = 1.0
+    np.divide(bw[None, :], B, out=B)
+    B /= B.sum(axis=1)[:, None]
     rows_exact = exact.any(axis=1)
     if rows_exact.any():
         B[rows_exact] = 0.0

@@ -56,7 +56,7 @@ class FitResult:
     rational: DoublePoleRational
     sup_error: float    # growth-norm sup of target - rational
     l2_residual: float  # weighted least-squares residual of the final solve
-    n_rounds: int       # Gauss-Newton steps tried, over both fits of a real cold start
+    n_rounds: int       # Levenberg-Marquardt steps tried, over both fits of a real cold start
 
 
 def _sample_set(p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +142,11 @@ def fit_double_poles(target, n_poles: int, p: float = 2.0,
         angles = np.asarray(init_angles, dtype=np.float64).copy()
         if len(angles) != n_poles:
             raise ValueError("init_angles length must equal n_poles")
+        # a repeated pole makes the strength columns rank deficient
+        poles = np.exp(1j * angles)
+        twins = np.argwhere(np.triu(np.abs(poles[:, None] - poles) < 1e-12, 1))
+        if len(twins):
+            raise ValueError(f"init_angles repeats the angle {angles[twins[0, 0]]:.17g} mod 2 pi")
 
     angles, d, norm, more = _refine(wb, z, w, angles, real_strengths)
     rational = DoublePoleRational(angles, d)

@@ -24,11 +24,12 @@ one-sided with smooth kernels, so they discretize into dense matrices on the
 ring profiles with no near-diagonal singularity; a pointwise all-pairs rule
 is unusable because its error at the outermost radial nodes grows under the
 Neumann iteration.  They are built once per grid shape by ``_mode_operators``
-(Daripa, SIAM J. Sci. Stat. Comput. 13, 1992); a density applies them to its
-ring profiles, as real products on the stacked real and imaginary parts of
-its modes, and the resulting output profiles are summed at the targets,
-radially by barycentric interpolation and in angle at the signed output
-frequencies, or at the grid's own nodes by one inverse FFT per ring.
+(Daripa, SIAM J. Sci. Stat. Comput. 13, 1992), the inward integrals exactly
+by one Gauss-Legendre rule; a density applies them to its ring profiles, as
+real products on the stacked real and imaginary parts of its modes, and the
+resulting output profiles are summed at the targets, radially by barycentric
+interpolation and in angle at the signed output frequencies, or at the
+grid's own nodes by one inverse FFT per ring.
 Outside, only the modes k = -j <= 0 contribute; with x = R/(w - c) they sum
 to a finite multipole series (Greengard & Rokhlin, J. Comput. Phys. 73, 1987)
 that holds up to the circle,
@@ -85,8 +86,7 @@ __all__ = [
 # already spectrally accurate there; closer points use the multipole series
 _NEAR_FACTOR = 1.25
 
-_PANEL = np.log(1.5)    # log-radius panel length for the one-sided integrals
-_N_TAIL = 52            # inward panels; kernel decays at least e^{-2 lam}, tail < 1e-18
+_PANEL = np.log(1.5)    # log-radius panel length for the outward integrals
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,9 @@ def _mode_operators(n_rad: int, n_ang: int) -> tuple[np.ndarray, np.ndarray]:
 
         int_s^1 g(t) (s/t)^{k-2} dt/t   (k >= 1),   int_0^s g(t) (t/s)^{2-k} dt/t   (k <= 0),
 
-    taken in log radius on uniform panels outward and a fixed geometric tail
-    inward, with g interpolated from the Gauss-Legendre nodes.  T's profiles
+    with g interpolated from the Gauss-Legendre nodes: outward in log radius on
+    uniform panels, inward exactly, since t = s u makes them int_0^1 g(s u) u^{1-k} du,
+    whose integrand has degree at most n_rad + n_ang//2 in u.  T's profiles
     of modes k <= 1 are polynomials of degree n in s, so the extra radius 0,
     where only mode 1 survives, makes their interpolation exact.
     """
@@ -176,6 +177,12 @@ def _mode_operators(n_rad: int, n_ang: int) -> tuple[np.ndarray, np.ndarray]:
     cauchy = np.zeros((n_ang, n_rad + 1, n_rad))
     beurling = np.zeros((n_ang, n_rad, n_rad))
     cauchy[ks == 1, 0, :] = -2.0 * w01
+    # inward side at all radii at once, by the smallest Gauss rule exact for that degree
+    u, wu = gauss_legendre_01((n_rad + n_ang // 2) // 2 + 1)
+    shell_dn = ((wu * u ** (1 - k_dn)) @ barycentric_matrix(
+        t01, np.outer(u, t01).ravel()).reshape(len(u), -1)).reshape(-1, n_rad, n_rad)
+    cauchy[dn, 1:, :] = 2.0 * t01[:, None] * shell_dn
+    beurling[dn] = 2.0 * np.pi * (1 - k_dn)[:, :, None] * shell_dn
     for i, s in enumerate(t01):
         lam_s = np.log(s)
         # outward side [s, 1] in log radius, uniform panels
@@ -184,21 +191,11 @@ def _mode_operators(n_rad: int, n_ang: int) -> tuple[np.ndarray, np.ndarray]:
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
         lam_up = (mid[:, None] + half[:, None] * gq[None, :]).ravel()
         w_up = (half[:, None] * gw[None, :]).ravel()
-        # inward side, fixed geometric tail below s
-        edges = lam_s - _PANEL * np.arange(_N_TAIL, -1, -1)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        lam_dn = (mid[:, None] + half[:, None] * gq[None, :]).ravel()
-        w_dn = (half[:, None] * gw[None, :]).ravel()
-
         shell_up = (w_up * np.exp(-(k_up - 2) * (lam_up - lam_s))) @ barycentric_matrix(
             t01, np.exp(lam_up))
-        shell_dn = (w_dn * np.exp((2 - k_dn) * (lam_dn - lam_s))) @ barycentric_matrix(
-            t01, np.exp(lam_dn))
         # dt = t dlam turns the Cauchy weights (s/t)^{k-1} dt into s (s/t)^{k-2} dlam
         cauchy[up, i + 1, :] = -2.0 * s * shell_up
-        cauchy[dn, i + 1, :] = 2.0 * s * shell_dn
         beurling[up, i, :] = 2.0 * np.pi * (k_up - 1) * shell_up
-        beurling[dn, i, :] = 2.0 * np.pi * (1 - k_dn) * shell_dn
     cauchy.setflags(write=False)
     beurling.setflags(write=False)
     return cauchy, beurling

@@ -154,3 +154,11 @@ def test_fit_input_validation():
         fit_double_poles(truth, 0)
     with pytest.raises(ValueError):
         fit_double_poles(truth, 2, init_angles=[0.5])
+
+
+@pytest.mark.parametrize("init", [[1.5, 1.5], [1.0, 1.0 + 2 * np.pi], [0.3, 2.0, -2 * np.pi + 0.3]])
+def test_fit_refuses_repeated_init_angles(init):
+    # two starts equal mod 2 pi give rank-deficient pole columns
+    truth = DoublePoleRational((1.0, 2.0), (0.7 + 0j, 1.3 + 0j))
+    with pytest.raises(ValueError, match="repeats the angle"):
+        fit_double_poles(truth, len(init), init_angles=init)

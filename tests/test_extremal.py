@@ -35,6 +35,22 @@ def test_search_stream_is_prefix_stable():
     assert [(h[0], h[1]) for h in head] == [(h[0], h[1]) for h in small.history]
 
 
+def test_search_shares_one_exponential_per_dilation_sweep(monkeypatch):
+    # exp(g)(r z) = exp(g(r z)): the five dilations of a fresh draw share one
+    # exp, and each ascent tweak takes its own; every candidate still counts
+    calls = []
+    exp = HoloSeries.exp
+
+    def counting_exp(self):
+        calls.append(1)
+        return exp(self)
+
+    monkeypatch.setattr(HoloSeries, "exp", counting_exp)
+    rec = hsz_search(hardy(), 2, budget=1000, seed=0)
+    assert rec.samples == 1000
+    assert len(calls) <= 300
+
+
 def test_search_candidates_keep_their_invariants():
     rec = hsz_search(hardy(), 2, budget=300, seed=1)
     f = rec.best_f
@@ -109,3 +125,11 @@ def test_consistency_report_on_empty_family():
     assert rep.coeff_violations == ()
     with pytest.raises(ValueError):
         check_thm2_consistency(hardy(), [], n=-1)
+
+
+def test_consistency_check_refuses_laurent_members():
+    # members are read as one coefficient array through ``truncated``, which
+    # is defined for Taylor series only
+    laurent = HoloSeries(np.array([1.0, 0.5, 0.25]), radius=2.0, lowest=-1)
+    with pytest.raises(ValueError, match="Taylor"):
+        check_thm2_consistency(hardy(), [HoloSeries(np.array([0.0, 0.1])), laurent])

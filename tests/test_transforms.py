@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from qcdeform.errors import SingularKernelError
+from qcdeform.quadrature import barycentric_matrix, gauss_legendre_01
 from qcdeform.transforms import (
     Density,
     Disk,
     _mode_operators,
+    _signed_freqs,
     beurling_Pi,
     cauchy_T,
     cauchy_chi,
@@ -243,3 +245,45 @@ def test_real_mode_products_match_the_complex_products():
         want = (op[idx] @ g)[..., 0].T
         scale = np.max(np.abs(op[idx]) @ np.abs(g))
         assert np.max(np.abs(product_of(profiles) - want)) <= 1e-15 * scale
+
+
+def _inward_rows(n_rad, n_ang):
+    """The k <= 0 modes and their rows of both operators, as
+    (k, cauchy rows / (2 s), beurling rows / (2 pi (1 - k))): each is then the
+    inward shell D_k(s) = int_0^s g(t) (t/s)^{2-k} dt/t at the radial nodes."""
+    t, _ = gauss_legendre_01(n_rad)
+    cauchy, beurling = _mode_operators(n_rad, n_ang)
+    ks = _signed_freqs(n_ang)
+    dn = ks <= 0
+    k = ks[dn][:, None]
+    return t, k, cauchy[dn, 1:] / (2.0 * t[:, None]), beurling[dn] / (2.0 * np.pi * (1 - k))[..., None]
+
+
+def test_inward_shells_match_a_composite_rule_on_a_random_profile():
+    # reference: 64 Gauss-Legendre panels of 20 nodes in t on [0, s], applied
+    # to the same degree-47 interpolant of a seeded random profile
+    n_rad, n_ang = 48, 128
+    t, k, cauchy, beurling = _inward_rows(n_rad, n_ang)
+    g = np.random.default_rng(20).standard_normal(n_rad)
+    x, w = gauss_legendre_01(20)
+    ref = np.empty((len(k), n_rad))
+    for i, s in enumerate(t):
+        edges = np.linspace(0.0, s, 65)
+        tq = (edges[:-1, None] + np.diff(edges)[:, None] * x).ravel()
+        wq = (np.diff(edges)[:, None] * w).ravel()
+        ref[:, i] = (wq * (tq / s) ** (2 - k) / tq) @ (barycentric_matrix(t, tq) @ g)
+    scale = np.max(np.abs(ref), axis=1)
+    for rows in (cauchy, beurling):
+        assert np.all(np.max(np.abs(rows @ g - ref), axis=1) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("n_rad, n_ang", [(48, 128), (24, 64)])
+def test_inward_shells_of_monomials_are_exact(n_rad, n_ang):
+    # D_k(s) of t^p is s^p / (p + 2 - k); p = n_rad - 1 is the top degree
+    # the radial interpolant represents
+    t, k, cauchy, beurling = _inward_rows(n_rad, n_ang)
+    for p in (0, 1, 20, n_rad - 1):
+        want = t**p / (p + 2 - k)
+        scale = np.max(np.abs(want), axis=1)
+        for rows in (cauchy, beurling):
+            assert np.all(np.max(np.abs(rows @ t**p - want), axis=1) <= 1e-12 * scale)
