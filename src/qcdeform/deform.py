@@ -10,24 +10,20 @@ quasiconformal map h = w + T rho satisfies
 
 The dilatation is sought in the span of conjugated kernel powers
 conj((zeta - c0)^-(k+1)) attached to the controlled coefficients plus a norm
-direction mu0 that is pairing-orthogonal to them, where c0 = f(0).  The
-coefficients of the composed map are read in coefficient space:
-
-    coeff_k(h o f) = f_k + sum_m P[k, m] L_m,    P[k, m] = coeff_k((f - c0)^m),
-
-for k = 0 .. n_norm, with L_m the Taylor coefficients of T rho around c0.
-They come from rho's exterior multipole moments (``Density.taylor_coeffs``)
-and are exact for the grid interpolant of rho.  On this span Pi mu vanishes
-in the disk (up to grid aliasing), so rho = mu and the coefficients are
-affine in the unknowns: the shift rows are one linear solve and the norm row
-one real quadratic (equality-constrained least squares, Golub & Van Loan,
-Matrix Computations, sec. 6.2), whose root with the smaller sup of mu is
-taken.  A certified bound on the norm above n_norm guards the truncation,
-and one sampled recovery of the map cross-checks it.  Coefficients 0 .. j
-are not held: mu0 moves coeff_0 by tau to first order (``drift_below``).
-
-L_m equals the area pairing of rho with (zeta - c0)^-(m+1); everything here
-rests on that identity.
+direction mu0 that is pairing-orthogonal to them, where c0 = f(0).  Off
+Disk(c, R), T rho is the series sum_j a_j x^(j+1) in x = R / (w - c) of rho's
+exterior moments, so h o f = f + sum_j a_j y^(j+1) with y = R / (f - c), and
+its coefficients 0 .. n_norm are one FFT of its samples at the N = 2^m >=
+4 (n_norm + 1) roots of unity (Trefethen & Weideman, SIAM Review 56, 2014),
+exact for the grid interpolant of rho up to an aliasing the tail bound covers.
+On this span Pi mu vanishes in the disk (up to grid aliasing), so rho = mu and
+the coefficients are affine in the unknowns: the shift rows are one linear
+solve and the norm row one real quadratic (equality-constrained least squares,
+Golub & Van Loan, Matrix Computations, sec. 6.2), whose root with the smaller
+sup of mu is taken.  A certified bound on the norm of what the kept
+coefficients miss guards the truncation, and one sampled recovery of the map
+cross-checks it.  Coefficients 0 .. j are not held: mu0 moves coeff_0 by tau
+to first order (``drift_below``).
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import kernels
 from .beltrami import QcMap, build_map
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
@@ -48,7 +45,7 @@ from .errors import (
 )
 from .series import HoloSeries, coeffs_from_circle_samples
 from .spaces import SpaceSpec, hilbert_norm
-from .transforms import Density, Disk, cauchy_T, local_matrix, terms_sup
+from .transforms import Density, Disk, _exterior_series, cauchy_T, terms_sup
 
 __all__ = [
     "DeformationProblem",
@@ -93,6 +90,13 @@ class DeformationProblem:
         return {a: Density.from_terms(self.disk, [(1.0, self.c0, a)], cfg.n_rad, cfg.n_ang)
                 for a in [k + 1 for k in self.controlled] + [1]}
 
+    @cached_property
+    def _circle(self) -> tuple[np.ndarray, np.ndarray]:
+        """(z, y = R / (f(z) - c)) at the N = 2^m >= 4 (n_norm + 1) roots of unity z."""
+        n = 1 << (4 * self.config.n_norm + 3).bit_length()
+        z = np.exp(2j * np.pi * np.arange(n) / n)
+        return z, self.disk.radius / (self.f.evaluate(z) - self.disk.center)
+
     def validate(self) -> None:
         if self.f.is_laurent or self.f.center != 0:
             raise ValueError("f must be a Taylor series centered at 0")
@@ -121,9 +125,9 @@ class DeformationProblem:
 
 def build_mu0(problem: DeformationProblem) -> Density:
     """Norm-control direction: unit pairing with (zeta-c0)^-1, none with the
-    kernels of the controlled coefficients.  The pairings are the Taylor
-    coefficients at c0 that ``_affine_map`` reads, so the orthogonality holds
-    in the solver's own discretization."""
+    kernels of the controlled coefficients.  The pairings come from the same
+    exterior moments that ``_affine_map`` composes with f, so the
+    orthogonality holds in the solver's own discretization."""
     orders = list(problem._basis)
     m = len(orders)
     gram = np.stack([problem._basis[a].taylor_coeffs(problem.c0, problem.n)
@@ -155,37 +159,23 @@ def _sup_from_x(problem: DeformationProblem, mu0: Density, x: np.ndarray) -> flo
     return terms_sup(problem.disk, _terms_from_x(problem, mu0, x), problem.config.n_ang)
 
 
-def _composition_powers(problem: DeformationProblem, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """P[k, m] = coeff_k((f - c0)^m) and Q[k, m] the same for the majorant
-    sum_{k>=1} |f_k| z^k, for k, m = 0 .. K.
-
-    Both matrices are lower-triangular, so their columns up to K hold every
-    coefficient up to K of every power.
-    """
-    fc = np.zeros(K + 1, dtype=np.complex128)
-    deg = min(len(problem.f.coeffs), K + 1)
-    fc[1:deg] = problem.f.coeffs[1:deg]
-    fa = np.abs(fc)
-    P = np.zeros((K + 1, K + 1), dtype=np.complex128)
-    Q = np.zeros((K + 1, K + 1))
-    P[0, 0] = Q[0, 0] = 1.0
-    for m in range(1, K + 1):
-        P[:, m] = np.convolve(P[:, m - 1], fc[:deg])[: K + 1]
-        Q[:, m] = np.convolve(Q[:, m - 1], fa[:deg])[: K + 1]
-    return P, Q
+def _circle_coeffs(problem: DeformationProblem, series: list) -> np.ndarray:
+    """Coefficients 0 .. n_norm of sum_j a_j x^(j+1) for each (a, x) in series,
+    x sampled at the roots of unity of ``_circle``: one FFT along axis 0."""
+    samples = np.stack([_exterior_series(a, x) for a, x in series], axis=1)
+    return np.fft.fft(samples, axis=0)[: problem.config.n_norm + 1] / len(samples)
 
 
-def _affine_map(problem: DeformationProblem, mu0: Density,
-                P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, B) with c(x) = f + B x the coefficients 0 .. K of h o f for the real
-    unknowns x = (Re xi_1, Im xi_1, .., tau): P times the Taylor coefficients at
-    c0 of T of each basis density, mu0's last, with the column of xi_i repeated
-    times i for Im xi_i.  Exact when rho = mu (module docstring)."""
-    K = len(P) - 1
+def _affine_map(problem: DeformationProblem, mu0: Density) -> tuple[np.ndarray, np.ndarray]:
+    """(f, B) with c(x) = f + B x the coefficients 0 .. n_norm of h o f for the
+    real unknowns x = (Re xi_1, Im xi_1, .., tau): the circle coefficients of
+    T of each basis density composed with f, mu0's last, with the column of
+    xi_i repeated times i for Im xi_i.  Exact when rho = mu (module docstring)."""
     basis = [problem._basis[k + 1] for k in problem.controlled] + [mu0]
-    B = P @ np.stack([b.taylor_coeffs(problem.c0, K) for b in basis], axis=1)
+    B = _circle_coeffs(problem, [(b._multipole(), problem._circle[1]) for b in basis])
     cols = np.repeat(np.arange(len(basis)), 2)[:-1]
-    return problem.f.truncated(K).coeffs, B[:, cols] * np.tile([1, 1j], len(basis))[:-1]
+    return (problem.f.truncated(problem.config.n_norm).coeffs,
+            B[:, cols] * np.tile([1, 1j], len(basis))[:-1])
 
 
 def _re_im(v: np.ndarray) -> np.ndarray:
@@ -207,9 +197,8 @@ def _first_order(problem: DeformationProblem, f: np.ndarray, B: np.ndarray,
 
 def linearized_init(problem: DeformationProblem, mu0: Density) -> np.ndarray:
     """First-order solve for x = (Re xi_1, Im xi_1, .., tau): the controlled
-    rows of the affine map and its norm linearized at f, to degree max(n, deg f)."""
-    P, _ = _composition_powers(problem, max(problem.n, len(problem.f.coeffs) - 1))
-    return _first_order(problem, *_affine_map(problem, mu0, P),
+    rows of the affine map and its norm linearized at f, both to degree n_norm."""
+    return _first_order(problem, *_affine_map(problem, mu0),
                         hilbert_norm(problem.space, problem.f))
 
 
@@ -226,7 +215,7 @@ class DeformationResult:
     m_est: float
     n_iter: int
     residual_trace: tuple
-    tail_bound: float   # bound on the norm of h o f's coefficients above n_norm
+    tail_bound: float   # bound on the norm of what h o f's kept coefficients miss
     sampled_check: float  # largest gap to FFT recovery from circle samples
     discriminant: float   # of the monic norm quadratic in tau
     tau_roots: tuple      # its roots, the chosen one first
@@ -252,56 +241,63 @@ class DeformationResult:
         }
 
 
-def _tail_weights(problem: DeformationProblem, K: int,
-                  Q: np.ndarray) -> tuple[np.ndarray, float]:
-    """Weights W_j and a constant t_f such that sum_j |a_j| W_j + t_f bounds,
-    in the space's norm, the part of h o f above degree K, for any rho on
-    the disk with exterior moments a_j.
+def _mass_beyond(a: np.ndarray, fa: np.ndarray, R: float, d: float, N: int) -> float:
+    """Mass at degrees >= N of S = sum_j |a_j| Y^(j+1), Y = R / (d - U): at most
+    S(r) r^-N / (1 - 1/r) for r > 1 with U(r) < d (Cauchy's estimate), minimized
+    over r in logs, as Y(r) grows without bound when U(r) nears d."""
+    r = 1.0 + 2.0 ** np.arange(-30.0, 2.0, 0.25)
+    Ur = np.polynomial.polynomial.polyval(r, fa)
+    r, log_Y = r[Ur < d], np.log(R / (d - Ur[Ur < d]))[:, None]
+    with np.errstate(divide="ignore"):
+        log_S = np.logaddexp.reduce(np.log(np.abs(a)) + log_Y * np.arange(1, len(a) + 1), axis=1)
+    return float(np.exp(np.min(log_S - N * np.log(r) - np.log1p(-1.0 / r), initial=np.inf)))
 
-    |L_m| <= B_m = sum_j |a_j| |M[m, j]| with M from ``local_matrix``, and
-    |coeff_k((f - c0)^m)| <= Q[k, m], whose columns sum to F^m with
-    F = sum_{k>=1} |f_k|.  Weights that do not grow past K bound the norm of
-    a tail by sqrt(w_{K+1}) times its l1 mass; growing ones (Dirichlet, at
-    most like k^2) by sqrt(w_{K+1}) / (K + 1) times its k-weighted mass, whose
-    columns sum to m F^{m-1} sum_k k |f_k|.  Over m > K the whole power lies
-    above K; that sum runs until the ratio test gives a geometric remainder,
-    which is added.  t_f is the exact norm of f's own coefficients above K.
+
+def _composed(problem: DeformationProblem, a: np.ndarray) -> tuple[np.ndarray, float]:
+    """(c, tail): the coefficients 0 .. K = n_norm of h o f for a density with
+    exterior moments a, and a certified bound on the norm of what c misses.
+
+    If F = sum_{k>=1} |f_k| < d = |c - c0|, sum_j a_j y^(j+1), y = R / (f - c),
+    is dominated coefficientwise by S = sum_j |a_j| Y^(j+1), Y = R / (d - U),
+    U = sum_{k>=1} |f_k| z^k.  Times sqrt(w_{K+1}), S(1) minus its kept sum
+    bounds the norm of the tail; for growing weights (at most like k^2), so
+    does S'(1) minus the k-weighted kept sum, times sqrt(w_{K+1}) / (K + 1).
+    The kept sums come from the FFT that gives c, whose aliasing only inflates
+    them, by at most the mass beyond N (``_mass_beyond``; it also bounds the
+    aliasing of c); it is added back, with a rounding allowance and the norm
+    of f's own coefficients above K.  ResolutionError when F >= d.
     """
-    cfg = problem.config
-    f = problem.f.coeffs
-    fa = np.abs(f[1:])
-    F = float(fa.sum())
-    F1 = float(np.arange(1, len(f)) @ fa)
-    w_far = problem.space.weights(4 * K + 8)[K + 1:]
-    grows = bool(np.any(np.diff(w_far) > 0))
-    m = np.arange(K + 1)
-    if grows:
-        scale = np.sqrt(w_far[0]) / (K + 1)
-        total = m * F ** np.maximum(m - 1, 0) * F1
-        kept = np.arange(K + 1) @ Q   # sum_k k Q[k, m]
-    else:
-        scale = np.sqrt(w_far[0])
-        total = F ** m
-        kept = Q.sum(axis=0)
-    M = np.abs(local_matrix(problem.disk.center, problem.disk.radius, problem.c0, K, cfg.n_ang))
-    W = np.maximum(total - kept, 0.0) @ M
-    d = abs(problem.disk.center - problem.c0)
-    t_f = float(np.sqrt(np.sum(problem.space.weights(len(f))[K + 1:] * np.abs(f[K + 1:]) ** 2)))
+    K, R = problem.config.n_norm, problem.disk.radius
+    fa = np.abs(problem.f.coeffs)
+    fa[0] = 0.0
+    F, d = float(fa.sum()), abs(problem.disk.center - problem.c0)
     if F >= d:
-        return np.full(M.shape[1], np.inf), t_f
-    j = np.arange(M.shape[1])
-    term = M[K] * total[K]
-    mm = K + 1
-    while True:
-        ratio = (mm + j) / (mm * d) * F * (mm / (mm - 1) if grows else 1.0)
-        term = term * ratio
-        W += term
-        mm += 1
-        nxt = (mm + j) / (mm * d) * F * (mm / (mm - 1) if grows else 1.0)
-        if np.all(nxt < 1.0):
-            rest = term * nxt / (1.0 - nxt)
-            if np.all(rest <= 1e-6 * W):
-                return scale * (W + rest), t_f
+        raise ResolutionError(
+            f"no n_norm bounds the tail of h o f: sum_(k>=1) |f_k| = {F:.6g} reaches "
+            f"|c - f(0)| = {d:.6g}, so the majorant of R / (f - c) diverges on |z| = 1")
+    z, y = problem._circle
+    N, jj = len(z), np.arange(1.0, len(a) + 1)
+    coef = _circle_coeffs(problem, [(a, y), (np.abs(a), R / (d - kernels.horner_many(fa, z)))])
+    terms = np.abs(a) * (R / (d - F)) ** jj        # |a_j| Y(1)^(j+1)
+    S1, S1j = float(terms.sum()), float(jj @ terms)
+    w = problem.space.weights(4 * K + 8)
+    if np.any(np.diff(w[K + 1:]) > 0):   # S'(1), with Y'(1) = Y(1)^2 sum_k k |f_k| / R
+        wt, scale = np.arange(K + 1.0), np.sqrt(w[K + 1]) / (K + 1)
+        total = S1j * float(np.arange(len(fa)) @ fa) / (d - F)
+    else:
+        wt, scale, total = np.ones(K + 1), np.sqrt(w[K + 1]), S1
+    beyond = _mass_beyond(a, fa, R, d, N)
+    # rounding: relative eps in a sample of Y (Horner on U, then d - U, R / .),
+    # times (j+1) in Y^(j+1), then Horner's and the FFT's (Higham, Accuracy and
+    # Stability of Numerical Algorithms, sec. 3.1, 5.1, 24.1); by Cauchy-Schwarz
+    # the kept sum's error is at most |wt|_2 times the largest sample error
+    u = np.finfo(float).eps / 2
+    eps = u * ((4 * (len(fa) - 1) * F + d + F) / (d - F) + 4 * len(a) + 7 * np.log2(N) + 5)
+    mass = (max(total - float(wt @ coef[:, 1].real), 0.0) + wt[-1] * beyond
+            + eps * (np.linalg.norm(wt) * S1j + len(a) * total))
+    t_f = np.sqrt(np.sum(problem.space.weights(len(fa))[K + 1:] * fa[K + 1:] ** 2))
+    c = problem.f.truncated(K).coeffs + coef[:, 0]
+    return c, float(scale * mass + np.sqrt(w[: K + 1].max()) * beyond + t_f)
 
 
 def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> float:
@@ -332,8 +328,8 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
     the workable bound (the shifts are too large for the support disk) or when
     the quadratic's discriminant is negative (no dilatation in the span holds
     the shifts and reaches the norm); DilatationBoundError when the chosen
-    root's sup is at least kappa_max; ResolutionError when the tail bound on
-    the norm above K = n_norm exceeds norm_tol, when the built map misses the
+    root's sup is at least kappa_max; ResolutionError when no n_norm bounds the
+    tail (``_composed``) or its bound exceeds norm_tol, when the built map misses the
     targets by more than coeff_tol or norm_tol, or when the cross-check
     disagrees by more than coeff_tol.
     """
@@ -342,9 +338,7 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
     K = cfg.n_norm
     ctrl = list(problem.controlled)
     mu0 = build_mu0(problem)
-    P, Q = _composition_powers(problem, K)
-    f, B = _affine_map(problem, mu0, P)
-    W, tail_f = _tail_weights(problem, K, Q)
+    f, B = _affine_map(problem, mu0)
     norm_f = hilbert_norm(problem.space, problem.f)
     norm_target = norm_f + problem.a
     targets = f[ctrl] + np.array(problem.d)
@@ -391,13 +385,11 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
     mu = _mu_from_x(problem, mu0, np.append(x0 + tau * x1, tau))
 
     qc = build_map(mu, cfg)
-    moments = qc.rho._multipole()
-    tail = float(np.abs(moments) @ W[: len(moments)]) + tail_f
+    c, tail = _composed(problem, qc.rho._multipole())
     if tail > cfg.norm_tol:
         raise ResolutionError(
             f"the coefficients of h o f above degree {K} may carry norm up to "
             f"{tail:.3e} (tail bound), above norm_tol {cfg.norm_tol:.1e}; raise n_norm")
-    c = f + P @ qc.rho.taylor_coeffs(problem.c0, K)
     r = residual(c)
     if np.max(np.abs(r[:-1])) > cfg.coeff_tol or abs(r[-1]) > cfg.norm_tol:
         raise ResolutionError(

@@ -49,7 +49,9 @@ class PolarGrid:
         return flat.reshape(self.n_rad, self.n_ang)
 
 
+@lru_cache(maxsize=4)   # small: a solve reuses one disk, and a 48 x 128 grid holds 150 kB
 def polar_grid(center: complex, radius: float, n_rad: int, n_ang: int) -> PolarGrid:
+    """Cached: every density on the disk at this resolution shares its read-only arrays."""
     x, w = gauss_legendre_01(n_rad)
     t = radius * x
     angles = 2.0 * np.pi * np.arange(n_ang) / n_ang
@@ -57,9 +59,9 @@ def polar_grid(center: complex, radius: float, n_rad: int, n_ang: int) -> PolarG
     nodes = (center + t[:, None] * ring[None, :]).ravel()
     # dA = t dt dphi  ->  weight = (radius * w_i) * t_i * (2 pi / n_ang)
     weights = ((radius * w * t)[:, None] * np.full(n_ang, 2.0 * np.pi / n_ang)[None, :]).ravel()
-    return PolarGrid(complex(center), float(radius), n_rad, n_ang,
-                     np.ascontiguousarray(nodes), np.ascontiguousarray(weights),
-                     t, angles)
+    for a in (nodes, weights, t, angles):
+        a.setflags(write=False)
+    return PolarGrid(complex(center), float(radius), n_rad, n_ang, nodes, weights, t, angles)
 
 
 def barycentric_weights(x: np.ndarray) -> np.ndarray:

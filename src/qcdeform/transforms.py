@@ -401,6 +401,11 @@ def cauchy_chi(disk: Disk, w) -> np.ndarray:
     return out
 
 
+def _exterior_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j a_j x^(j+1): T at x = R / (w - c) off the disk, from its moments a."""
+    return x * kernels.horner_many(a, x)
+
+
 def _route(rho: Density, w: np.ndarray):
     dist = np.abs(w - rho.disk.center)
     inside = dist < rho.disk.radius
@@ -420,7 +425,7 @@ def cauchy_T(rho: Density, w) -> np.ndarray:
         out[far] = -s / np.pi
     if near.any():
         x = rho.disk.radius / (w[near] - rho.disk.center)
-        out[near] = x * kernels.horner_many(rho._multipole(), x)
+        out[near] = _exterior_series(rho._multipole(), x)
     if inside.any():
         out[inside] = _mode_sum(*rho._expansion("cauchy"), w[inside] - rho.disk.center)
     return out

@@ -25,7 +25,7 @@ from qcdeform.deform import (
 from qcdeform.errors import ConvergenceError, DilatationBoundError, ResolutionError
 from qcdeform.series import HoloSeries
 from qcdeform.spaces import bergman, dirichlet, hardy
-from qcdeform.transforms import Disk, pairing
+from qcdeform.transforms import Disk, local_matrix, pairing
 
 DISK = Disk(2.2 + 0j, 1.1)
 CFG = RunConfig().with_updates(
@@ -217,3 +217,69 @@ def test_map_off_the_affine_solve_is_refused_with_its_residual():
         solve_deformation(_nonlinear_problem(hardy(), cfg, disk=Disk(22.3 + 0j, 20.0)))
     miss = float(re.search(r"misses the shifts by (\S+) ", str(info.value)).group(1))
     assert miss > cfg.coeff_tol
+
+
+def _exact_composed(problem: DeformationProblem, rho, K: int) -> np.ndarray:
+    """Coefficients 0 .. K of (T rho) o f: the Taylor coefficients L_m of T rho
+    at c0 (multipole-to-local matrix) times the powers (f - c0)^m, built by
+    convolution.  Exact for rho's grid interpolant, with no aliasing."""
+    f = problem.f.truncated(K).coeffs.copy()
+    f[0] = 0.0
+    P = np.zeros((K + 1, K + 1), dtype=complex)
+    P[0, 0] = 1.0
+    for m in range(1, K + 1):
+        P[:, m] = np.convolve(P[:, m - 1], f)[: K + 1]
+    a = rho._multipole()
+    M = local_matrix(problem.disk.center, problem.disk.radius, problem.c0, K, rho.grid.n_ang)
+    return P @ (M[:, : len(a)] @ a)
+
+
+@pytest.mark.parametrize("disk", [Disk(2.2 + 0j, 1.1), Disk(6.3 + 0j, 5.0),
+                                  Disk(11.7 + 0j, 10.0), Disk(22.3 + 0j, 20.0)])
+def test_circle_coefficients_match_the_exact_composition(disk):
+    prob = _nonlinear_problem(hardy(), disk=disk)
+    mu0 = build_mu0(prob)
+    f, B = deform._affine_map(prob, mu0)
+    K = prob.config.n_norm
+    np.testing.assert_array_equal(f, prob.f.truncated(K).coeffs)
+    # columns: Re xi_2, Im xi_2 (times i), Re xi_3, Im xi_3, tau
+    for col, rho in [(0, prob._basis[3]), (2, prob._basis[4]), (4, mu0)]:
+        assert np.max(np.abs(B[:, col] - _exact_composed(prob, rho, K))) <= 1e-14
+
+
+@pytest.mark.parametrize("space", [hardy, bergman, dirichlet], ids=lambda s: s.__name__)
+@pytest.mark.parametrize("K", [8, 16, 32])
+def test_tail_bound_covers_the_tail_of_the_built_map(space, K):
+    # the truncation is coarse on purpose; norm_tol = 1 lets the solve report
+    # its bound, and degrees K+1 .. 8K of the exact composition are a lower
+    # estimate of the true tail
+    cfg = RunConfig().with_updates(n_norm=K, norm_tol=1.0)
+    res = solve_deformation(_nonlinear_problem(space(), cfg))
+    prob = res.problem
+    c = prob.f.truncated(8 * K).coeffs + _exact_composed(prob, res.qcmap.rho, 8 * K)
+    w = prob.space.weights(8 * K + 1)
+    assert res.tail_bound >= np.sqrt(np.sum(w[K + 1:] * np.abs(c[K + 1:]) ** 2))
+
+
+def _cancelling_f() -> HoloSeries:
+    # sum_k |f_k| = 3.25, while |f| stays well below that on the circle
+    c = np.zeros(12, dtype=complex)
+    c[1] = 1.0
+    c[3::2] = 0.45 * np.array([1, 1j, -1, -1j, 1])
+    return HoloSeries(c, radius=np.inf)
+
+
+def test_slow_majorant_still_solves_within_its_tail_bound():
+    res = solve_deformation(DeformationProblem(
+        dirichlet(), _cancelling_f(), Disk(5.0 + 0j, 1.0), 1, 3, (1e-6, 5e-7), 1e-7))
+    assert 0.0 < res.tail_bound <= 1e-8
+    assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-6, 5e-7]))) < 1e-12
+
+
+def test_divergent_majorant_is_refused_with_both_numbers():
+    prob = DeformationProblem(
+        hardy(), _cancelling_f(), Disk(3.0 + 0j, 0.3), 1, 3, (1e-6, 5e-7), 0.0)
+    # no n_norm helps, so the refusal names the two numbers, not a truncation
+    with pytest.raises(ResolutionError, match=r"\|f_k\| = 3.25 reaches \|c - f\(0\)\| = 3,") as e:
+        solve_deformation(prob)
+    assert "raise n_norm" not in str(e.value)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from qcdeform.quadrature import barycentric_matrix, barycentric_weights, gauss_legendre_01
+from qcdeform.quadrature import (
+    barycentric_matrix,
+    barycentric_weights,
+    gauss_legendre_01,
+    polar_grid,
+)
+from qcdeform.transforms import Density, Disk
 
 
 def _product_weights(x):
@@ -41,3 +47,14 @@ def test_barycentric_matrix_reproduces_top_degree_polynomials(radius):
         # queries on the nodes select the node's own value
         B = barycentric_matrix(x, x[[0, 7, -1]])
         np.testing.assert_array_equal(B, np.eye(len(x))[[0, 7, len(x) - 1]])
+
+
+def test_polar_grid_is_shared_per_disk_and_resolution_and_read_only():
+    disk = Disk(0.3 - 0.4j, 1.1)
+    a = Density.from_terms(disk, [(1.0, 3.0 + 0j, 1)], 16, 32)
+    b = Density.from_function(disk, np.abs, 16, 32)
+    assert a.grid is b.grid is polar_grid(disk.center, disk.radius, 16, 32)
+    assert polar_grid(disk.center, disk.radius, 16, 64) is not a.grid
+    for arr in (a.grid.nodes, a.grid.weights, a.grid.t, a.grid.angles):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
