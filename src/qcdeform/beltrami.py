@@ -27,6 +27,10 @@ from .transforms import Density, cauchy_T
 __all__ = ["NeumannResult", "solve_neumann", "QcMap", "build_map", "MapReport", "verify_map"]
 
 
+# relative size of the last Neumann term summed
+_NEUMANN_TOL = 1e-12
+
+
 class NeumannResult(NamedTuple):
     rho: Density
     n_terms: int
@@ -34,16 +38,19 @@ class NeumannResult(NamedTuple):
 
 
 def solve_neumann(mu: Density, config: RunConfig | None = None) -> NeumannResult:
-    """Sum the Neumann series for rho on mu's grid.
+    """Sum the Neumann series for rho on mu's grid, until a term falls below
+    1e-12 of the first.
 
-    Raises DilatationBoundError when ||mu||_inf reaches the config's
+    A series contracting at the config's kappa_max reaches that in
+    ceil(log(1e-12) / log(kappa_max)) + 1 terms (41 at kappa_max 0.5), which
+    is the term budget.  Raises DilatationBoundError when ||mu||_inf reaches
     kappa_max, DivergenceError when a term stops contracting,
-    ConvergenceError when neumann_max_terms terms leave a tail above
-    neumann_tol, naming the last contraction ratio and the term count it
-    predicts.
+    ConvergenceError when the budget leaves a tail above 1e-12, naming the
+    last contraction ratio and the term count it predicts.
     """
     cfg = config or DEFAULT_CONFIG
-    tol, max_terms = cfg.neumann_tol, cfg.neumann_max_terms
+    tol = _NEUMANN_TOL
+    max_terms = int(np.ceil(np.log(tol) / np.log(cfg.kappa_max))) + 1
     kappa = mu.sup
     if kappa >= cfg.kappa_max:
         raise DilatationBoundError(
@@ -66,14 +73,13 @@ def solve_neumann(mu: Density, config: RunConfig | None = None) -> NeumannResult
                 f"Neumann term grew from {prev:.3g} to {tn:.3g} at term {n_terms}; "
                 "the discretized series is not contracting")
         before, prev = prev, tn
-    msg = f"Neumann tail still {prev / scale:.3g} relative after {max_terms} terms (tol {tol:.3g})"
-    if n_terms > 1:
-        # terms shrink geometrically at the last measured ratio (below 1, or
-        # DivergenceError would have been raised)
-        ratio = prev / before
-        need = n_terms + int(np.ceil(np.log(tol * scale / prev) / np.log(ratio)))
-        msg += f"; contraction ratio {ratio:.3g} predicts {need} terms"
-    raise ConvergenceError(msg)
+    # the budget is at least 2 terms, so a ratio was measured (below 1, or
+    # DivergenceError would have been raised); terms shrink geometrically at it
+    ratio = prev / before
+    need = n_terms + int(np.ceil(np.log(tol * scale / prev) / np.log(ratio)))
+    raise ConvergenceError(
+        f"Neumann tail still {prev / scale:.3g} relative after {max_terms} terms "
+        f"(tol {tol:.3g}); contraction ratio {ratio:.3g} predicts {need} terms")
 
 
 @dataclass(eq=False)

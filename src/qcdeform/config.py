@@ -12,20 +12,11 @@ from dataclasses import asdict, dataclass, replace
 __all__ = ["RunConfig", "DEFAULT_CONFIG"]
 
 
-def _is_pow2(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
-
-
 @dataclass(frozen=True)
 class RunConfig:
     # truncation degree of the deformation solve: its residuals and norm use
     # the Taylor coefficients 0 .. n_norm of h o f, with no further cap
     n_norm: int = 256
-    # sampling circle radius of the deformation solve's one cross-check
-    rho_s: float = 0.9
-    # number of cross-check circle samples, a power of two, at least 4; the
-    # cross-check recovers degrees up to min(n_norm, m_samples // 4)
-    m_samples: int = 256
     # disk quadrature: radial Gauss-Legendre x uniform angular
     n_rad: int = 48
     n_ang: int = 128
@@ -33,27 +24,19 @@ class RunConfig:
     # coeff_tol also caps its cross-check and norm_tol its tail bound
     coeff_tol: float = 1e-8
     norm_tol: float = 1e-7
-    # Neumann series control
-    neumann_tol: float = 1e-12
-    neumann_max_terms: int = 20
-    # hard ceiling on the dilatation sup-norm during solves
+    # hard ceiling on the dilatation sup-norm during solves; it also sets the
+    # Neumann term budget, enough terms for a series contracting at kappa_max
     kappa_max: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not _is_pow2(self.m_samples) or self.m_samples < 4:
-            raise ValueError(f"m_samples must be a power of two, at least 4; got {self.m_samples}")
-        if not 0.0 < self.rho_s < 1.0:
-            raise ValueError("rho_s must lie in (0, 1)")
         if not 0.0 < self.kappa_max < 1.0:
             raise ValueError("kappa_max must lie in (0, 1)")
         if self.n_rad < 2 or self.n_ang < 4:
             raise ValueError("quadrature grid too small")
-        for name in ("coeff_tol", "norm_tol", "neumann_tol"):
+        for name in ("coeff_tol", "norm_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive; got {getattr(self, name)}")
-        if self.neumann_max_terms < 1:
-            raise ValueError(f"neumann_max_terms must be at least 1; got {self.neumann_max_terms}")
 
     def with_updates(self, **kw) -> "RunConfig":
         return replace(self, **kw)

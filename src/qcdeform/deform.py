@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+# the one cross-check of a solve samples h o f at this many points of this circle
+_CHECK_RADIUS = 0.9
+_CHECK_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -302,21 +305,21 @@ def _composed(problem: DeformationProblem, a: np.ndarray) -> tuple[np.ndarray, f
 
 def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> float:
     """Largest gap between c and the coefficients recovered by FFT from h o f
-    sampled on |z| = rho_s, over degrees k up to min(n_norm, m_samples / 4),
-    each scaled by rho_s^k.
+    sampled at 256 points of |z| = 0.9, over degrees k up to min(n_norm, 64),
+    each scaled by 0.9^k.
 
-    The recovery divides the DFT of the samples by rho_s^k, so a sample
-    error e becomes up to e / 0.9^128 = 7e5 e at k = 128.  The scaled gap is
+    The recovery divides the DFT of the samples by 0.9^k, so a sample
+    error e becomes up to e / 0.9^64 = 850 e at k = 64.  The scaled gap is
     the gap between the two DFTs: how far the two computations of h o f
     disagree on the circle.
     """
-    cfg = problem.config
-    n_rec = min(cfg.n_norm, cfg.m_samples // 4)
-    wv = problem.f.evaluate(cfg.rho_s * np.exp(2j * np.pi * np.arange(cfg.m_samples)
-                                               / cfg.m_samples))
-    rec = coeffs_from_circle_samples(wv + cauchy_T(qc.rho, wv), cfg.rho_s, n_rec, alias_tol=1e-5)
+    n_rec = min(problem.config.n_norm, _CHECK_SAMPLES // 4)
+    wv = problem.f.evaluate(_CHECK_RADIUS * np.exp(2j * np.pi * np.arange(_CHECK_SAMPLES)
+                                                   / _CHECK_SAMPLES))
+    rec = coeffs_from_circle_samples(wv + cauchy_T(qc.rho, wv), _CHECK_RADIUS, n_rec,
+                                     alias_tol=1e-5)
     gap = np.abs(rec.series.coeffs[: n_rec + 1] - c[: n_rec + 1])
-    return float(np.max(gap * cfg.rho_s ** np.arange(n_rec + 1)))
+    return float(np.max(gap * _CHECK_RADIUS ** np.arange(n_rec + 1)))
 
 
 def solve_deformation(problem: DeformationProblem) -> DeformationResult:

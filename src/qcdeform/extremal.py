@@ -53,9 +53,12 @@ class SearchRecord:
     history: tuple  # (evaluation index, value, candidate) at each improvement
 
 
-# hsz_search candidates: exp of a degree-12 polynomial, kept to degree 48
+# hsz_search candidates: exp of a degree-12 polynomial, kept to degree 48; a
+# candidate replaces the best only when it beats it by more than _ULPS ulps,
+# so rounding noise between equal values never steers the search
 _DEGREE = 12
 _N_KEEP = 48
+_ULPS = 4
 
 
 def _exp_coeffs(g_coeffs: np.ndarray) -> np.ndarray:
@@ -90,7 +93,7 @@ def hsz_search(space: SpaceSpec, n: int, budget: int, seed: int = 0) -> SearchRe
         nrm = hilbert_norm(space, HoloSeries(exp_coeffs))
         f = HoloSeries(exp_coeffs / nrm, radius=1.0)
         val = abs(f.coefficient(n))
-        if val > best:
+        if val - best > _ULPS * np.spacing(best):
             best = val
             best_f = f
             history.append((evals, val, f))
@@ -115,7 +118,8 @@ def hsz_search(space: SpaceSpec, n: int, budget: int, seed: int = 0) -> SearchRe
                 if evals >= budget:
                     break
                 tweak = np.zeros(_DEGREE + 1, dtype=np.complex128)
-                m = int(rng.integers(0, _DEGREE + 1))
+                # m >= 1: a constant tweak is a scale factor the normalization cancels
+                m = int(rng.integers(1, _DEGREE + 1))
                 tweak[m] = step * np.exp(2j * np.pi * rng.random())
                 if consider(_exp_coeffs(incumbent_g + tweak)):
                     incumbent_g = incumbent_g + tweak

@@ -100,26 +100,45 @@ def test_nonsmooth_angular_density_reports_divergence():
         solve_neumann(mu)
 
 
-def test_budget_exhaustion_reports_convergence_failure():
-    disk = Disk(0j, 1.0)
-    mu = Density.from_function(disk, lambda z: 0.45 * z, n_rad=12, n_ang=24)
-    with pytest.raises(ConvergenceError):
-        solve_neumann(mu, config=RunConfig(neumann_tol=1e-12, neumann_max_terms=3))
-
-
 def test_convergence_refusal_names_ratio_and_predicted_terms():
-    # 20 default terms leave a 6.1e-12 tail; the last ratio, 0.289, says 22
-    # terms reach neumann_tol, and 22 do
+    # kappa_max 0.06 gives a budget of ceil(log 1e-12 / log 0.06) + 1 = 11
+    # terms; the grid's sign pattern contracts at 0.0413, not at its sup 0.05,
+    # yet its last ratio predicts the 12 terms it takes under a larger budget
+    disk = Disk(0j, 1.0)
+    mu = Density.from_function(
+        disk, lambda z: 0.05 * np.sign(z.real) * np.sign(z.imag), n_rad=12, n_ang=24)
+    with pytest.raises(ConvergenceError,
+                       match=r"after 11 terms .*contraction ratio 0\.0413 predicts 12 terms"):
+        solve_neumann(mu, config=RunConfig(kappa_max=0.06))
+    assert solve_neumann(mu).n_terms == 12
+
+
+def test_budget_follows_kappa_max():
+    # the radial conjugate contracts at 0.289 and needs 22 terms to reach the
+    # tolerance; kappa_max 0.5 grants 41
     disk = Disk(2.2 + 0j, 1.1)
 
     def fn(z):
         u = (z - disk.center) / disk.radius
         return 0.3 * np.conj(u) / np.abs(u)
 
-    mu = Density.from_function(disk, fn)
-    with pytest.raises(ConvergenceError, match=r"contraction ratio 0\.289 predicts 22 terms"):
-        solve_neumann(mu)
-    assert solve_neumann(mu, config=RunConfig(neumann_max_terms=22)).n_terms == 22
+    _, n_terms, residual = solve_neumann(Density.from_function(disk, fn))
+    assert n_terms == 22
+    assert residual <= 1e-12
+
+
+@pytest.mark.parametrize("sup", [0.35, 0.40, 0.45, 0.49])
+def test_dilatations_below_kappa_max_build_verified_maps(sup):
+    disk = Disk(0.3 + 0.2j, 1.0)
+
+    def fn(z):
+        u = z - disk.center
+        return sup * np.conj(u) / np.abs(u)
+
+    qc = build_map(Density.from_function(disk, fn))
+    assert 22 < qc.n_terms <= 41
+    assert qc.neumann_residual <= 1e-12
+    assert verify_map(qc).ok
 
 
 def test_anti_analytic_dilatation_needs_two_terms_only():

@@ -6,6 +6,7 @@ the byte-identical determinism promise can be asserted on raw text.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from qcdeform.cli import main
 
 # reduced quadrature keeps the heavier subcommands fast; still well above
 # the resolution floor for the smooth inputs used here
-FAST = {"n_rad": 24, "n_ang": 64, "m_samples": 512, "n_norm": 128}
+FAST = {"n_rad": 24, "n_ang": 64, "n_norm": 128}
 
 
 def run(argv, capsys):
@@ -56,20 +57,37 @@ def test_missing_input_flag(capsys):
     assert "requires" in err
 
 
+def _verify_with_config(tmp_path, capsys, config):
+    doc = {"disk": {"center": [0.0, 0.0], "radius": 1.0},
+           "mu": {"constant": [0.05, 0.0]}, "config": config}
+    path = write_doc(tmp_path, "verify.json", doc)
+    return run(["verify", "--config", path], capsys)
+
+
 @pytest.mark.parametrize("field, value", [
-    ("neumann_max_terms", 0),
-    ("neumann_tol", -1.0),
     ("coeff_tol", 0.0),
     ("norm_tol", 0.0),
 ])
 def test_unusable_config_value_is_config_error(tmp_path, capsys, field, value):
-    doc = {"disk": {"center": [0.0, 0.0], "radius": 1.0},
-           "mu": {"constant": [0.05, 0.0]}, "config": {**FAST, field: value}}
-    path = write_doc(tmp_path, "verify.json", doc)
-    code, out, err = run(["verify", "--config", path], capsys)
+    code, out, err = _verify_with_config(tmp_path, capsys, {**FAST, field: value})
     assert code == 1
     assert out == ""
     assert err.startswith("config error") and field in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rho_s", 0.9),
+    ("m_samples", 256),
+    ("neumann_tol", 1e-12),
+    ("neumann_max_terms", 20),
+])
+def test_removed_config_key_is_config_error(tmp_path, capsys, field, value):
+    # the cross-check sampling and the Neumann tolerance are constants, and the
+    # Neumann term budget follows from kappa_max: a config naming them is refused
+    code, out, err = _verify_with_config(tmp_path, capsys, {**FAST, field: value})
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error: unknown config keys") and field in err
 
 
 def test_missing_config_key_is_config_error(tmp_path, capsys):
@@ -239,6 +257,29 @@ def test_deform_refusal_exits_2_with_its_type(tmp_path, capsys, a, error_type, n
     assert report["error_type"] == error_type
     assert named in report["error"]
     assert err.startswith(error_type)
+
+
+def test_ill_conditioned_kernel_basis_exits_2_with_its_condition_number(tmp_path, capsys):
+    # far from f(D), the kernel powers (zeta - c0)^-(k+1) for k = 2 .. 6 and
+    # (zeta - c0)^-1 are numerically dependent on Disk(60, 1)
+    doc = {
+        "space": "hardy",
+        "f": [[0, 0], [1, 0], [0.01, 0], [0, -0.005], [0.003, 0], [0.001, 0]],
+        "disk": {"center": [60.0, 0.0], "radius": 1.0},
+        "j": 1,
+        "n": 6,
+        "d": [[1e-3, 0.0], [5e-4, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        "a": 1e-4,
+    }
+    path = write_doc(tmp_path, "prob.json", doc)
+    with pytest.warns(UserWarning, match="polynomial"):
+        code, out, err = run(["deform", "--config", path], capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert report["error_type"] == "IllConditionedBasisError"
+    cond = float(re.search(r"condition number (\S+)", report["error"]).group(1))
+    assert cond > 1e12
+    assert err.startswith("IllConditionedBasisError")
 
 
 def test_verify_constant_dilatation(tmp_path, capsys):

@@ -29,7 +29,7 @@ from qcdeform.transforms import Disk, local_matrix, pairing
 
 DISK = Disk(2.2 + 0j, 1.1)
 CFG = RunConfig().with_updates(
-    n_rad=24, n_ang=64, m_samples=512, n_norm=128, norm_tol=2e-8)
+    n_rad=24, n_ang=64, n_norm=128, norm_tol=2e-8)
 
 
 def _linear_f() -> HoloSeries:
@@ -151,13 +151,23 @@ def test_coefficient_residual_agrees_with_sampled_recovery(space, monkeypatch):
     monkeypatch.setattr(transforms, "cauchy_T", counted)
     monkeypatch.setattr(deform, "cauchy_T", counted)
     res = solve_deformation(_nonlinear_problem(space()))
-    assert calls == [RunConfig().m_samples]
+    assert calls == [deform._CHECK_SAMPLES]
     assert res.sampled_check <= 1e-12
     assert 0.0 <= res.tail_bound <= RunConfig().norm_tol
     doc = res.to_dict()
     assert doc["sampled_check"] == res.sampled_check
     assert doc["tail_bound"] == res.tail_bound
     assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-3, 5e-4]))) < 1e-8
+
+
+def test_cross_check_disagreement_is_refused_with_its_gap():
+    # on the coarse 24 x 64 grid the sampled recovery of h o f and the
+    # coefficient-space composition agree to a few 1e-12, above coeff_tol 1e-12
+    cfg = RunConfig().with_updates(n_rad=24, n_ang=64, coeff_tol=1e-12)
+    with pytest.raises(ResolutionError, match="sampled cross-check") as info:
+        solve_deformation(_nonlinear_problem(hardy(), cfg))
+    gap = float(re.search(r"residual by (\S+),", str(info.value)).group(1))
+    assert gap > cfg.coeff_tol
 
 
 def test_truncation_below_the_tail_is_refused_with_its_bound():

@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from qcdeform.extremal import FamilySpec, _b2_ceiling, check_thm2_consistency, hsz_search
+from qcdeform.extremal import (
+    _ULPS,
+    FamilySpec,
+    _b2_ceiling,
+    check_thm2_consistency,
+    hsz_search,
+)
 from qcdeform.schwarzian import solve_schwarz
 from qcdeform.series import HoloSeries
 from qcdeform.spaces import bp_norm, hardy, hilbert_norm
@@ -33,6 +39,18 @@ def test_search_stream_is_prefix_stable():
     assert small.best_value <= large.best_value
     head = large.history[: len(small.history)]
     assert [(h[0], h[1]) for h in head] == [(h[0], h[1]) for h in small.history]
+
+
+@pytest.mark.parametrize("n, seed", [(0, 0), (1, 1)])
+def test_search_improvements_exceed_rounding(n, seed):
+    # candidates equal up to rounding must not count as improvements: for
+    # n = 0 every r = 0 dilation is the unit constant, and for n = 1, seed 1
+    # a tweak of g's constant term, which only rescales exp(g), once tied
+    rec = hsz_search(hardy(), n, budget=1000, seed=seed)
+    values = [v for _, v, _ in rec.history]
+    assert values
+    for prev, val in zip(values, values[1:]):
+        assert val - prev > _ULPS * np.spacing(prev)
 
 
 def test_search_shares_one_exponential_per_dilation_sweep(monkeypatch):

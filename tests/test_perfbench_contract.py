@@ -8,11 +8,14 @@ perfbench's files and change nothing there.
 """
 
 import ast
+import dataclasses
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import qcdeform
+from qcdeform.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -63,3 +66,45 @@ def test_workload_api_resolves():
         _resolve(qcdeform, chain)
     # shifts_of calls the displacement of the map that build_map returns
     assert callable(qcdeform.QcMap.displacement)
+
+
+# the result fields perfbench's hooks read (``perfbench/layers.py``), by type
+_HOOK_FIELDS = {
+    qcdeform.NeumannResult: {"n_terms"},
+    qcdeform.DeformationResult: {"n_iter", "drift_below"},
+    qcdeform.SearchRecord: {"samples"},
+    qcdeform.Thm2Report: {"n_samples"},
+}
+
+
+def _fields(cls) -> set:
+    if dataclasses.is_dataclass(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+    return set(cls._fields)
+
+
+def test_hook_result_fields_exist():
+    tree = ast.parse((PERFBENCH / "layers.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "result"}
+    assert read == set().union(*_HOOK_FIELDS.values())
+    for cls, names in _HOOK_FIELDS.items():
+        assert names <= _fields(cls), cls.__name__
+
+
+def test_report_config_round_trips(tmp_path, capsys):
+    # the deform oracle rebuilds the run's RunConfig from the report's config block
+    problem = {
+        "space": "hardy",
+        "f": [[0, 0], [1, 0], [0.01, 0], [0, -0.005], [0.003, 0], [0.001, 0]],
+        "disk": {"center": [2.2, 0.0], "radius": 1.1},
+        "j": 1, "n": 3, "d": [[1e-3, 0.0], [5e-4, 0.0]], "a": 1e-4,
+        "config": {"n_rad": 24, "n_ang": 64, "n_norm": 128},
+    }
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(problem))
+    assert main(["deform", "--config", str(path)]) == 0
+    block = json.loads(capsys.readouterr().out)["config"]
+    cfg = qcdeform.RunConfig.from_dict(block)
+    assert cfg.to_dict() == block
+    assert cfg == qcdeform.RunConfig(n_rad=24, n_ang=64, n_norm=128)
