@@ -15,15 +15,19 @@ Disk(c, R), T rho is the series sum_j a_j x^(j+1) in x = R / (w - c) of rho's
 exterior moments, so h o f = f + sum_j a_j y^(j+1) with y = R / (f - c), and
 its coefficients 0 .. n_norm are one FFT of its samples at the N = 2^m >=
 4 (n_norm + 1) roots of unity (Trefethen & Weideman, SIAM Review 56, 2014),
-exact for the grid interpolant of rho up to an aliasing the tail bound covers.
-On this span Pi mu vanishes in the disk (up to grid aliasing), so rho = mu and
-the coefficients are affine in the unknowns: the shift rows are one linear
-solve and the norm row one real quadratic (equality-constrained least squares,
-Golub & Van Loan, Matrix Computations, sec. 6.2), whose root with the smaller
-sup of mu is taken.  A certified bound on the norm of what the kept
-coefficients miss guards the truncation, and one sampled recovery of the map
-cross-checks it.  Coefficients 0 .. j are not held: mu0 moves coeff_0 by tau
-to first order (``drift_below``).
+up to an aliasing the tail bound covers.  Every density of this span is a sum
+of conjugated pole terms, antiholomorphic on the disk, so Pi mu = 0 there,
+rho = mu, and the coefficients are affine in the unknowns: the shift rows are
+one linear solve and the norm row one real quadratic (equality-constrained
+least squares, Golub & Van Loan, Matrix Computations, sec. 6.2), whose root
+with the smaller sup of mu is taken.  The solve reads the moments off the
+grid; the built mu's are then taken from their closed form (``_term_moments``),
+so the residual of the composed map measures what the grid's truncated
+moments miss.  A certified bound on the norm of what the kept coefficients
+miss guards the truncation, and one sampled recovery of the map, by direct
+quadrature of the grid far from the disk, cross-checks it.  Coefficients
+0 .. j are not held: mu0 moves coeff_0 by tau to first order
+(``drift_below``).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -59,6 +64,9 @@ _COND_LIMIT = 1e12
 # the one cross-check of a solve samples h o f at this many points of this circle
 _CHECK_RADIUS = 0.9
 _CHECK_SAMPLES = 256
+# samples this many radii or more from the disk center are summed directly
+# over the grid (``kernels.cauchy_sum``); closer ones go through ``cauchy_T``
+_NEAR_FACTOR = 1.25
 
 
 @dataclass(frozen=True)
@@ -256,9 +264,64 @@ def _mass_beyond(a: np.ndarray, fa: np.ndarray, R: float, d: float, N: int) -> f
     return float(np.exp(np.min(log_S - N * np.log(r) - np.log1p(-1.0 / r), initial=np.inf)))
 
 
-def _composed(problem: DeformationProblem, a: np.ndarray) -> tuple[np.ndarray, float]:
-    """(c, tail): the coefficients 0 .. K = n_norm of h o f for a density with
-    exterior moments a, and a certified bound on the norm of what c misses.
+def _term_moments(disk: Disk, terms, Y: float) -> tuple[np.ndarray, float, float]:
+    """(a, rem, rem1): the exterior moments a_0 .. a_J of the term density
+    sum_i c_i conj((zeta - p_i)^-k_i) in closed form, and bounds on what the
+    dropped ones carry in the majorant of ``_composed``:
+
+        a_j  = sum_i c_i conj(C(j+k_i-1, j) (c - p_i)^-k_i R (R / (p_i - c))^j) / (j + 1),
+        rem  >= sum_(j>J) |a_j| Y^(j+1),   rem1 >= sum_(j>J) (j + 1) |a_j| Y^(j+1).
+
+    (conj((zeta - p)^-k) has the Taylor coefficients g_j of (zeta - p)^-k at
+    c conjugated, and pairs with (zeta - c)^j to pi R^(2j+2) conj(g_j) / (j + 1).)
+    A term with k <= 0 has moments j <= -k only.  For k > 0, with
+    t = Y R / |p - c| < 1 (``_composed`` refuses otherwise), the bound
+    u_j = |c_i| |g_j| R^(j+1) Y^(j+1) / (j + 1) on its share of |a_j| Y^(j+1) has
+    u_(j+1) / u_j = t (j + k) / (j + 2), so past the last computed index the
+    shares are geometric.  J is the least index whose rem is below rounding,
+    relative to the sum of the u_j; the computed range doubles from 64 until
+    one is (or reaches 2^16, and keeps its rem).
+    """
+    c, R = disk.center, disk.radius
+    top = max([64] + [-k for _, _, k in terms])
+    while True:
+        j = np.arange(top + 2.0)      # 0 .. top + 1
+        a = np.zeros(top + 1, dtype=np.complex128)
+        U = np.zeros(top + 2)         # sum_i u_j
+        geo = np.zeros(2)             # bounds on the shares beyond top + 1
+        for coeff, pole, k in terms:
+            if k <= 0:   # g below is g_j R^(j+1), here from the binomial (zeta - p)^-k
+                jj = np.arange(1 - k)
+                g = [comb(-k, i) * R ** (i + 1) * (c - pole) ** (-k - i) for i in jj]
+                a[jj] += coeff * np.conj(g) / (jj + 1)
+                U[jj] += abs(coeff) * np.abs(g) * Y ** (jj + 1.0) / (jj + 1)
+                continue
+            ratio = (j[1:] + k - 1) / j[1:] * (R / (pole - c))
+            g = R * (c - pole) ** -k * np.cumprod(np.concatenate([[1.0], ratio]))
+            a += coeff * np.conj(g[:-1]) / j[1:]
+            u = abs(coeff) * abs(R * Y * (c - pole) ** -k) * np.cumprod(
+                np.concatenate([[1.0], np.abs(ratio) * Y])) / (j + 1)
+            U += u
+            t = Y * R / abs(pole - c)
+            rho0 = t * max(1.0, (top + 1 + k) / (top + 3))
+            rho1 = t * max(1.0, (top + 1 + k) / (top + 2))
+            geo += ([u[-1] / (1 - rho0), (top + 2) * u[-1] / (1 - rho1)]
+                    if rho1 < 1 else np.inf)
+        # rem[J] for J = 0 .. top: the computed shares past J, then the geometric rest
+        rem = np.cumsum(U[::-1])[::-1][1:] + geo[0]
+        rem1 = np.cumsum((U * (j + 1))[::-1])[::-1][1:] + geo[1]
+        ok = np.flatnonzero(rem <= np.finfo(float).eps / 2 * U.sum())
+        if ok.size or top >= 1 << 16:
+            J = int(ok[0]) if ok.size else top
+            return a[: J + 1], float(rem[J]), float(rem1[J])
+        top *= 2
+
+
+def _composed(problem: DeformationProblem, terms) -> tuple[np.ndarray, float]:
+    """(c, tail): the coefficients 0 .. K = n_norm of h o f for the term
+    density with these ``terms``, whose exterior moments a come from the
+    closed form (``_term_moments``), and a certified bound on the norm of
+    what c misses.
 
     If F = sum_{k>=1} |f_k| < d = |c - c0|, sum_j a_j y^(j+1), y = R / (f - c),
     is dominated coefficientwise by S = sum_j |a_j| Y^(j+1), Y = R / (d - U),
@@ -268,7 +331,11 @@ def _composed(problem: DeformationProblem, a: np.ndarray) -> tuple[np.ndarray, f
     The kept sums come from the FFT that gives c, whose aliasing only inflates
     them, by at most the mass beyond N (``_mass_beyond``; it also bounds the
     aliasing of c); it is added back, with a rounding allowance and the norm
-    of f's own coefficients above K.  ResolutionError when F >= d.
+    of f's own coefficients above K.  The moments past the last kept one add
+    their share of S(1) (or S'(1)) to the tail and their whole S(1) to what
+    c misses.  ResolutionError when F >= d, or when q Y(1) >= 1 with
+    q = max R / |p_i - c| over the poles, as then the moments' majorant
+    diverges at z = 1.
     """
     K, R = problem.config.n_norm, problem.disk.radius
     fa = np.abs(problem.f.coeffs)
@@ -278,17 +345,26 @@ def _composed(problem: DeformationProblem, a: np.ndarray) -> tuple[np.ndarray, f
         raise ResolutionError(
             f"no n_norm bounds the tail of h o f: sum_(k>=1) |f_k| = {F:.6g} reaches "
             f"|c - f(0)| = {d:.6g}, so the majorant of R / (f - c) diverges on |z| = 1")
+    Y1 = R / (d - F)
+    q = max((R / abs(p - problem.disk.center) for _, p, k in terms if k > 0), default=0.0)
+    if q * Y1 >= 1.0:
+        raise ResolutionError(
+            f"no n_norm bounds the tail of h o f: the moments of mu decay like q^j with "
+            f"q = max R / |p_i - c| = {q:.6g}, and Y(1) = R / (|c - f(0)| - sum_(k>=1) "
+            f"|f_k|) = {Y1:.6g}, so q Y(1) >= 1 and their majorant diverges on |z| = 1")
+    a, rem, rem1 = _term_moments(problem.disk, terms, Y1)
     z, y = problem._circle
     N, jj = len(z), np.arange(1.0, len(a) + 1)
     coef = _circle_coeffs(problem, [(a, y), (np.abs(a), R / (d - kernels.horner_many(fa, z)))])
-    terms = np.abs(a) * (R / (d - F)) ** jj        # |a_j| Y(1)^(j+1)
-    S1, S1j = float(terms.sum()), float(jj @ terms)
+    with np.errstate(divide="ignore"):   # |a_j| Y(1)^(j+1), in logs as Y(1)^J may overflow
+        shares = np.exp(np.log(np.abs(a)) + np.log(Y1) * jj)
+    S1, S1j = float(shares.sum()), float(jj @ shares)
     w = problem.space.weights(4 * K + 8)
     if np.any(np.diff(w[K + 1:]) > 0):   # S'(1), with Y'(1) = Y(1)^2 sum_k k |f_k| / R
         wt, scale = np.arange(K + 1.0), np.sqrt(w[K + 1]) / (K + 1)
-        total = S1j * float(np.arange(len(fa)) @ fa) / (d - F)
+        total = (S1j + rem1) * float(np.arange(len(fa)) @ fa) / (d - F)
     else:
-        wt, scale, total = np.ones(K + 1), np.sqrt(w[K + 1]), S1
+        wt, scale, total = np.ones(K + 1), np.sqrt(w[K + 1]), S1 + rem
     beyond = _mass_beyond(a, fa, R, d, N)
     # rounding: relative eps in a sample of Y (Horner on U, then d - U, R / .),
     # times (j+1) in Y^(j+1), then Horner's and the FFT's (Higham, Accuracy and
@@ -300,7 +376,7 @@ def _composed(problem: DeformationProblem, a: np.ndarray) -> tuple[np.ndarray, f
             + eps * (np.linalg.norm(wt) * S1j + len(a) * total))
     t_f = np.sqrt(np.sum(problem.space.weights(len(fa))[K + 1:] * fa[K + 1:] ** 2))
     c = problem.f.truncated(K).coeffs + coef[:, 0]
-    return c, float(scale * mass + np.sqrt(w[: K + 1].max()) * beyond + t_f)
+    return c, float(scale * mass + np.sqrt(w[: K + 1].max()) * (beyond + rem) + t_f)
 
 
 def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> float:
@@ -311,13 +387,20 @@ def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> flo
     The recovery divides the DFT of the samples by 0.9^k, so a sample
     error e becomes up to e / 0.9^64 = 850 e at k = 64.  The scaled gap is
     the gap between the two DFTs: how far the two computations of h o f
-    disagree on the circle.
+    disagree on the circle.  At samples 1.25 radii or more from the disk's
+    center, T rho is the direct quadrature sum over the grid, independent of
+    the moments that give c; closer ones go through ``cauchy_T``.
     """
     n_rec = min(problem.config.n_norm, _CHECK_SAMPLES // 4)
     wv = problem.f.evaluate(_CHECK_RADIUS * np.exp(2j * np.pi * np.arange(_CHECK_SAMPLES)
                                                    / _CHECK_SAMPLES))
-    rec = coeffs_from_circle_samples(wv + cauchy_T(qc.rho, wv), _CHECK_RADIUS, n_rec,
-                                     alias_tol=1e-5)
+    rho, disk = qc.rho, problem.disk
+    far = np.abs(wv - disk.center) >= _NEAR_FACTOR * disk.radius
+    T = np.empty_like(wv)
+    T[far] = -kernels.cauchy_sum(rho.grid.nodes, rho.grid.weights, rho.values,
+                                 np.ascontiguousarray(wv[far])) / np.pi
+    T[~far] = cauchy_T(rho, wv[~far])
+    rec = coeffs_from_circle_samples(wv + T, _CHECK_RADIUS, n_rec, alias_tol=1e-5)
     gap = np.abs(rec.series.coeffs[: n_rec + 1] - c[: n_rec + 1])
     return float(np.max(gap * _CHECK_RADIUS ** np.arange(n_rec + 1)))
 
@@ -386,10 +469,12 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
             f"the norm equation's roots tau = {tau:.3g}, {other:.3g} need dilatation sup "
             f"{sup:.3g} or more, at or above kappa_max {cfg.kappa_max:.3g}")
     mu = _mu_from_x(problem, mu0, np.append(x0 + tau * x1, tau))
+    # the root choice certified the sup of these same terms
+    mu._expansions["sup"] = sup
 
     qc = build_map(mu, cfg)
-    c, tail = _composed(problem, qc.rho._multipole())
-    if tail > cfg.norm_tol:
+    c, tail = _composed(problem, mu.terms)
+    if not tail <= cfg.norm_tol:
         raise ResolutionError(
             f"the coefficients of h o f above degree {K} may carry norm up to "
             f"{tail:.3e} (tail bound), above norm_tol {cfg.norm_tol:.1e}; raise n_norm")
@@ -398,7 +483,8 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
         raise ResolutionError(
             f"the built map misses the shifts by {np.max(np.abs(r[:-1])):.3e} (coeff_tol "
             f"{cfg.coeff_tol:.1e}) and the norm by {abs(r[-1]):.3e} (norm_tol "
-            f"{cfg.norm_tol:.1e}); rho is not mu on this grid ({qc.n_terms} Neumann terms)")
+            f"{cfg.norm_tol:.1e}); the grid's moments, which the solve read, differ "
+            f"from mu's closed-form ones (raise n_ang)")
     check = _sampled_check(problem, qc, c)
     if check > cfg.coeff_tol:
         raise ResolutionError(
@@ -410,6 +496,6 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
     trace = (float(np.linalg.norm(residual(f + B @ x_lin))), float(np.linalg.norm(r)))
     return DeformationResult(
         problem, mu, qc, tuple(c[ctrl] - f[ctrl]),
-        hilbert_norm(problem.space, HoloSeries(c)) - norm_f, drift, mu.sup, eps,
-        mu.sup / eps if eps > 0 else float("nan"), 0, trace, tail, check,
+        hilbert_norm(problem.space, HoloSeries(c)) - norm_f, drift, sup, eps,
+        sup / eps if eps > 0 else float("nan"), 0, trace, tail, check,
         float(disc), (tau, other))

@@ -6,9 +6,11 @@ so that callers and profilers can find them by name; perfbench traces both
 by these module attributes.
 
 Both take plain contiguous complex128/float64 arrays.  The quadrature sum
-omits the -1/pi prefactor of the transform; its one caller applies it, and
-calls it only at targets far outside the support, where no node coincides
-with a target.
+omits the -1/pi prefactor of the transform.  Its one caller is the sampled
+cross-check of ``deform`` (``deform._sampled_check``), which applies the
+prefactor and calls it, by module attribute, only at samples 1.25 radii or
+more from the support's center, where no node coincides with a target; the
+transforms themselves use the multipole series there.
 """
 
 from __future__ import annotations

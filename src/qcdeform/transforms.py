@@ -32,12 +32,11 @@ interpolation and in angle at the signed output frequencies, or at the
 grid's own nodes by one inverse FFT per ring.
 Outside, only the modes k = -j <= 0 contribute; with x = R/(w - c) they sum
 to a finite multipole series (Greengard & Rokhlin, J. Comput. Phys. 73, 1987)
-that holds up to the circle,
+that holds from the circle outward,
 
     T = sum_j a_j x^{j+1},   Pi = -(x^2/R) sum_j (j+1) a_j x^j,
-    a_j = 2R int_0^1 g_{-j}(R t) t^{j+1} dt,
+    a_j = 2R int_0^1 g_{-j}(R t) t^{j+1} dt.
 
-though beyond 1.25 radii T is the plain weighted sum over the grid instead.
 The same moments translate to the Taylor coefficients of T at any exterior
 point c0 (Greengard & Rokhlin's multipole-to-local step): with d = c - c0 and
 r = R/d,
@@ -81,10 +80,6 @@ __all__ = [
     "beurling_Pi",
     "terms_sup",
 ]
-
-# T of exterior points beyond this factor of the radius is the plain grid sum,
-# already spectrally accurate there; closer points use the multipole series
-_NEAR_FACTOR = 1.25
 
 _PANEL = np.log(1.5)    # log-radius panel length for the outward integrals
 
@@ -406,28 +401,20 @@ def _exterior_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x * kernels.horner_many(a, x)
 
 
-def _route(rho: Density, w: np.ndarray):
-    dist = np.abs(w - rho.disk.center)
-    inside = dist < rho.disk.radius
-    near = (~inside) & (dist < _NEAR_FACTOR * rho.disk.radius)
-    far = (~inside) & (~near)
-    return inside, near, far
-
-
 def cauchy_T(rho: Density, w) -> np.ndarray:
-    """Cauchy transform of rho at points w (any mix of regimes)."""
+    """Cauchy transform of rho at points w.
+
+    Outside the support it is the multipole series of rho's exterior
+    moments; inside, the per-mode radial operators summed at the points.
+    """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     out = np.empty(w.shape, dtype=np.complex128)
-    inside, near, far = _route(rho, w)
-    if far.any():
-        s = kernels.cauchy_sum(rho.grid.nodes, rho.grid.weights, rho.values,
-                               np.ascontiguousarray(w[far]))
-        out[far] = -s / np.pi
-    if near.any():
-        x = rho.disk.radius / (w[near] - rho.disk.center)
-        out[near] = _exterior_series(rho._multipole(), x)
+    u = w - rho.disk.center
+    inside = np.abs(u) < rho.disk.radius
+    if (~inside).any():
+        out[~inside] = _exterior_series(rho._multipole(), rho.disk.radius / u[~inside])
     if inside.any():
-        out[inside] = _mode_sum(*rho._expansion("cauchy"), w[inside] - rho.disk.center)
+        out[inside] = _mode_sum(*rho._expansion("cauchy"), u[inside])
     return out
 
 

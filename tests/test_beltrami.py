@@ -154,6 +154,26 @@ def test_anti_analytic_dilatation_needs_two_terms_only():
     assert np.max(np.abs(rho.values - mu.values)) < 1e-12 * mu.sup
 
 
+def test_term_dilatation_is_its_own_neumann_output():
+    # conjugated pole terms are antiholomorphic on the disk: Pi mu = 0 there,
+    # so the series stops at rho = mu, the grid samples of the terms
+    disk = Disk(0.2 - 0.3j, 0.9)
+    poles = disk.center + disk.radius * np.array([1.6, 1.7j, -1.8 + 0.1j])
+    terms = [(0.1, poles[0], 1), (0.05j, poles[1], 2), (-0.07, poles[2], 3), (0.02, 0j, 0)]
+    mu = Density.from_terms(disk, terms)
+    rho, n_terms, residual = solve_neumann(mu)
+    assert (n_terms, residual) == (1, 0.0)
+    assert rho.terms is None
+    np.testing.assert_array_equal(rho.values, mu.values)
+    assert verify_map(build_map(mu)).ok
+    # the sup is still checked first
+    scaled = Density.from_terms(disk, [(0.51 * c / mu.sup, p, k) for c, p, k in terms])
+    with pytest.raises(DilatationBoundError):
+        solve_neumann(scaled)
+    with pytest.raises(DilatationBoundError):
+        solve_neumann(mu, RunConfig(kappa_max=0.99 * mu.sup))
+
+
 def test_verify_map_passes_for_smooth_dilatation():
     disk = Disk(1.5 + 0j, 0.8)
     mu = Density.from_function(

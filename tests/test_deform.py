@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qcdeform import deform, transforms
+from qcdeform import deform, kernels, transforms
 from qcdeform.config import RunConfig
 from qcdeform.deform import (
     DeformationProblem,
@@ -140,18 +140,32 @@ def _nonlinear_problem(space, config=RunConfig(), a=1e-4, disk=DISK,
 @pytest.mark.parametrize("space", [hardy, bergman, dirichlet], ids=lambda s: s.__name__)
 def test_coefficient_residual_agrees_with_sampled_recovery(space, monkeypatch):
     # the solver reads the coefficients of h o f from the density's moments;
-    # the one sampled Cauchy transform per solve is the independent check
-    calls = []
-    real = transforms.cauchy_T
+    # the one sampled recovery per solve is the independent check: each of its
+    # samples goes once through cauchy_T or, 1.25 radii out or more, through
+    # the direct grid sum
+    seen = []
+    real_T, real_sum = transforms.cauchy_T, kernels.cauchy_sum
 
-    def counted(rho, w):
-        calls.append(np.size(w))
-        return real(rho, w)
+    def counted_T(rho, w):
+        seen.append(("T", np.asarray(w).copy()))
+        return real_T(rho, w)
 
-    monkeypatch.setattr(transforms, "cauchy_T", counted)
-    monkeypatch.setattr(deform, "cauchy_T", counted)
-    res = solve_deformation(_nonlinear_problem(space()))
-    assert calls == [deform._CHECK_SAMPLES]
+    def counted_sum(nodes, weights, rho, targets):
+        seen.append(("sum", np.asarray(targets).copy()))
+        return real_sum(nodes, weights, rho, targets)
+
+    monkeypatch.setattr(transforms, "cauchy_T", counted_T)
+    monkeypatch.setattr(deform, "cauchy_T", counted_T)
+    monkeypatch.setattr(kernels, "cauchy_sum", counted_sum)
+    prob = _nonlinear_problem(space())
+    res = solve_deformation(prob)
+    points = np.concatenate([w for _, w in seen])
+    assert len(points) == deform._CHECK_SAMPLES
+    assert len(np.unique(points)) == deform._CHECK_SAMPLES
+    assert any(kind == "sum" for kind, _ in seen)
+    for kind, w in seen:
+        far = np.abs(w - prob.disk.center) >= 1.25 * prob.disk.radius
+        assert far.all() if kind == "sum" else not far.any()
     assert res.sampled_check <= 1e-12
     assert 0.0 <= res.tail_bound <= RunConfig().norm_tol
     doc = res.to_dict()
@@ -220,13 +234,60 @@ def test_root_above_kappa_max_is_refused_with_its_sup():
 
 
 def test_map_off_the_affine_solve_is_refused_with_its_residual():
-    # R / |c - c0| = 0.897: the grid aliases, Pi mu is not 0 there, so the
-    # map's rho moves off mu and its coefficients off the affine solve
+    # R / |c - c0| = 0.897: the grid keeps moments j <= n_ang / 2 only, so
+    # the affine solve misses what mu's closed-form moments compose to
     cfg = RunConfig().with_updates(coeff_tol=1e-9)
     with pytest.raises(ResolutionError, match="misses the shifts") as info:
         solve_deformation(_nonlinear_problem(hardy(), cfg, disk=Disk(22.3 + 0j, 20.0)))
     miss = float(re.search(r"misses the shifts by (\S+) ", str(info.value)).group(1))
     assert miss > cfg.coeff_tol
+
+
+def test_worked_f_solves_or_is_refused_on_wide_disks():
+    # the grid keeps moments j <= n_ang / 2, which decay like (R / |c - c0|)^j;
+    # the built map is composed from mu's closed-form moments, so on the two
+    # widest disks the affine solve's miss shows and is refused with its size
+    cfg = RunConfig()
+    res = solve_deformation(_nonlinear_problem(hardy(), disk=Disk(6.3 + 0j, 5.0)))
+    assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-3, 5e-4]))) <= cfg.coeff_tol
+    assert abs(res.achieved_a - 1e-4) <= cfg.norm_tol
+    for disk in [Disk(11.7 + 0j, 10.0), Disk(22.3 + 0j, 20.0)]:
+        with pytest.raises(ResolutionError, match="misses the shifts by") as info:
+            solve_deformation(_nonlinear_problem(hardy(), disk=disk))
+        miss = float(re.search(r"misses the shifts by (\S+) ", str(info.value)).group(1))
+        assert miss > cfg.coeff_tol
+
+
+@pytest.mark.parametrize("disk", [Disk(2.2 + 0j, 1.1), Disk(3.0 + 1.0j, 0.3),
+                                  Disk(-0.5 + 4.0j, 2.5)])
+def test_closed_form_moments_match_the_grid_moments(disk):
+    # poles of orders 1 and 3 off the disk, a constant, and a conjugated
+    # quadratic about an interior point, whose moments stop at j = 2; the
+    # grid's own aliasing sets the tolerance on the widest disk
+    terms = [(0.3 + 0.1j, 0j, 1), (0.02 - 0.05j, 0j, 3), (0.1, 0.5j, 0),
+             (0.05j, disk.center + 0.2 * disk.radius, -2)]
+    mu = transforms.Density.from_terms(disk, terms)
+    a, rem, rem1 = deform._term_moments(disk, mu.terms, 0.9)
+    grid = mu._multipole()
+    n = min(len(a), len(grid))
+    assert np.max(np.abs(a[:n] - grid[:n])) <= 1e-14 * np.max(np.abs(a))
+    # the moments beyond the kept ones are below rounding of what is kept
+    assert 0.0 <= rem <= 1e-15 * np.sum(np.abs(a) * 0.9 ** np.arange(1, len(a) + 1))
+    assert rem1 >= rem
+
+
+def test_slow_moment_decay_is_refused_with_q_and_Y():
+    # sum_k |f_k| = 3.25 sits just inside |c - c0| = 3.26, so Y(1) = 30 and
+    # the moments' decay q = R / |c - c0| cannot offset it
+    prob = DeformationProblem(hardy(), _cancelling_f(), Disk(3.26 + 0j, 0.3), 1, 3,
+                              (1e-9, 5e-10), 0.0)
+    with pytest.raises(ResolutionError, match=r"q Y\(1\) >= 1") as info:
+        solve_deformation(prob)
+    msg = str(info.value)
+    q = float(re.search(r"= (\S+), and Y", msg).group(1))
+    Y = float(re.search(r"\) = (\S+), so", msg).group(1))
+    assert q == pytest.approx(0.3 / 3.26, rel=1e-5)
+    assert Y == pytest.approx(30.0, rel=1e-5)
 
 
 def _exact_composed(problem: DeformationProblem, rho, K: int) -> np.ndarray:

@@ -92,15 +92,17 @@ def test_hook_result_fields_exist():
         assert names <= _fields(cls), cls.__name__
 
 
+_DEFORM = {
+    "space": "hardy",
+    "f": [[0, 0], [1, 0], [0.01, 0], [0, -0.005], [0.003, 0], [0.001, 0]],
+    "disk": {"center": [2.2, 0.0], "radius": 1.1},
+    "j": 1, "n": 3, "d": [[1e-3, 0.0], [5e-4, 0.0]], "a": 1e-4,
+}
+
+
 def test_report_config_round_trips(tmp_path, capsys):
     # the deform oracle rebuilds the run's RunConfig from the report's config block
-    problem = {
-        "space": "hardy",
-        "f": [[0, 0], [1, 0], [0.01, 0], [0, -0.005], [0.003, 0], [0.001, 0]],
-        "disk": {"center": [2.2, 0.0], "radius": 1.1},
-        "j": 1, "n": 3, "d": [[1e-3, 0.0], [5e-4, 0.0]], "a": 1e-4,
-        "config": {"n_rad": 24, "n_ang": 64, "n_norm": 128},
-    }
+    problem = {**_DEFORM, "config": {"n_rad": 24, "n_ang": 64, "n_norm": 128}}
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(problem))
     assert main(["deform", "--config", str(path)]) == 0
@@ -108,3 +110,30 @@ def test_report_config_round_trips(tmp_path, capsys):
     cfg = qcdeform.RunConfig.from_dict(block)
     assert cfg.to_dict() == block
     assert cfg == qcdeform.RunConfig(n_rad=24, n_ang=64, n_norm=128)
+
+
+def test_direct_grid_sum_runs_on_deform_only(tmp_path, capsys, monkeypatch):
+    # perfbench's run test requires kernels.cauchy_sum pairs on traced deform;
+    # its one caller is deform's cross-check, and verify on pole terms needs
+    # no grid sum at all
+    pairs = []
+    real = qcdeform.kernels.cauchy_sum
+
+    def counted(nodes, weights, rho, targets):
+        pairs.append(len(nodes) * len(targets))
+        return real(nodes, weights, rho, targets)
+
+    monkeypatch.setattr(qcdeform.kernels, "cauchy_sum", counted)
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(_DEFORM))
+    assert main(["deform", "--config", str(path)]) == 0
+    assert any(n > 0 for n in pairs)
+
+    pairs.clear()
+    capsys.readouterr()
+    doc = {"disk": {"center": [0.2, -0.3], "radius": 0.9},
+           "mu": {"terms": [[[0.1, 0.0], [1.64, -0.3], 1], [[0.0, 0.05], [0.2, 1.23], 2]]}}
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert pairs == []

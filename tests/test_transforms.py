@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qcdeform import kernels
 from qcdeform.errors import SingularKernelError
 from qcdeform.quadrature import barycentric_matrix, gauss_legendre_01
 from qcdeform.transforms import (
@@ -48,8 +49,8 @@ def test_cauchy_T_of_indicator_in_all_regimes():
     disk = Disk(0.4 + 0.2j, 1.3)
     rho = Density.constant(disk, 1.0, n_rad=24, n_ang=64)
     rng = np.random.default_rng(7)
-    # relative radii cover the interior, the multipole near band, and the
-    # plain far sum on both sides of the 1.25 handover and far out
+    # relative radii cover the interior and the multipole series from near
+    # the circle to far out
     rel = np.array([0.15, 0.6, 0.95, 1.05, 1.2, 1.6, 3.0, 8.0, 100.0])
     w = disk.center + rel * disk.radius * np.exp(2j * np.pi * rng.random(9))
     got = cauchy_T(rho, w)
@@ -156,7 +157,7 @@ def test_exterior_transforms_of_grid_only_monomials(n, m):
     #   T rho  = R^(2m+2) / ((m+1) U^(m-n+1))              for m >= n,
     #   Pi rho = -(m-n+1) R^(2m+2) / ((m+1) U^(m-n+2))     for m >= n,
     # and both vanish for m < n.  The radii reach to within 1e-4 R of the
-    # circle and straddle T's near/far handover at 1.25 R.
+    # circle and run out to 5 R on the one multipole series.
     disk = Disk(0.3 - 0.4j, 1.2)
     R = disk.radius
     grid = Density.constant(disk, 0.0).grid
@@ -175,6 +176,24 @@ def test_exterior_transforms_of_grid_only_monomials(n, m):
     w = disk.center + U
     assert np.max(np.abs(cauchy_T(rho, w) - want_T)) < 1e-12
     assert np.max(np.abs(beurling_Pi(rho, w) - want_Pi)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["terms", "grid"])
+def test_exterior_series_matches_the_direct_grid_sum(kind):
+    # from 1.25 radii out the plain weighted sum over the 48 x 128 grid is
+    # spectrally accurate; the multipole series must agree with it there
+    disk = Disk(0.3 - 0.4j, 1.2)
+    poles = disk.center + disk.radius * np.array([1.8, -2.1j])
+    mu = Density.from_terms(disk, [(0.2, poles[0], 1), (0.1j, poles[1], 2)], 48, 128)
+    if kind == "grid":
+        u = mu.grid.nodes - disk.center
+        mu = Density.from_grid(disk, 0.3 * np.exp(-np.abs(u) ** 2) * (1 + np.conj(u)) ** 2,
+                               mu.grid)
+    rng = np.random.default_rng(3)
+    rel = np.geomspace(1.25, 100.0, 40)
+    w = disk.center + disk.radius * rel * np.exp(2j * np.pi * rng.random(len(rel)))
+    direct = -kernels.cauchy_sum(mu.grid.nodes, mu.grid.weights, mu.values, w) / np.pi
+    assert np.max(np.abs(cauchy_T(mu, w) - direct)) < 1e-14
 
 
 def test_taylor_coeffs_of_indicator_closed_form():
