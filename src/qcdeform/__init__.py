@@ -28,7 +28,6 @@ from .spaces import (
     bergman,
     bp_norm,
     dirichlet,
-    from_radial_measure,
     hardy,
     hilbert_norm,
     monomial_bp_sup,
@@ -76,7 +75,6 @@ __all__ = [
     "hardy",
     "bergman",
     "dirichlet",
-    "from_radial_measure",
     "hilbert_norm",
     "bp_norm",
     "monomial_bp_sup",

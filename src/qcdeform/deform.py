@@ -20,14 +20,15 @@ of conjugated pole terms, antiholomorphic on the disk, so Pi mu = 0 there,
 rho = mu, and the coefficients are affine in the unknowns: the shift rows are
 one linear solve and the norm row one real quadratic (equality-constrained
 least squares, Golub & Van Loan, Matrix Computations, sec. 6.2), whose root
-with the smaller sup of mu is taken.  The solve reads the moments off the
-grid; the built mu's are then taken from their closed form (``_term_moments``),
-so the residual of the composed map measures what the grid's truncated
-moments miss.  A certified bound on the norm of what the kept coefficients
-miss guards the truncation, and one sampled recovery of the map, by direct
-quadrature of the grid far from the disk, cross-checks it.  Coefficients
-0 .. j are not held: mu0 moves coeff_0 by tau to first order
-(``drift_below``).
+with the smaller sup of mu is taken.  Every moment the solve reads, of the
+basis, of mu0 and of the built mu, and so mu0's Gram matrix too, comes from
+the closed form (``_term_moments``), kept until the rest is below rounding.
+A certified bound on the norm of what the kept coefficients miss guards the
+truncation.  The built mu's grid serves the map and one sampled recovery of
+it, by direct quadrature of the grid far from the disk, which cross-checks
+the closed form: the grid resolves angular modes up to n_ang/2 only, so its
+truncation shows there and nowhere else.  Coefficients 0 .. j are not held:
+mu0 moves coeff_0 by tau to first order (``drift_below``).
 """
 
 from __future__ import annotations
@@ -93,20 +94,22 @@ class DeformationProblem:
         return self.f.coefficient(0)
 
     @cached_property
-    def _basis(self) -> dict:
-        """{order: the density conj((zeta - c0)^-order)} for order 1 and the
-        controlled orders k + 1, built once per problem and shared by
-        ``build_mu0`` and ``_affine_map``."""
-        cfg = self.config
-        return {a: Density.from_terms(self.disk, [(1.0, self.c0, a)], cfg.n_rad, cfg.n_ang)
-                for a in [k + 1 for k in self.controlled] + [1]}
-
-    @cached_property
     def _circle(self) -> tuple[np.ndarray, np.ndarray]:
         """(z, y = R / (f(z) - c)) at the N = 2^m >= 4 (n_norm + 1) roots of unity z."""
         n = 1 << (4 * self.config.n_norm + 3).bit_length()
         z = np.exp(2j * np.pi * np.arange(n) / n)
         return z, self.disk.radius / (self.f.evaluate(z) - self.disk.center)
+
+    @cached_property
+    def _basis_moments(self) -> np.ndarray:
+        """Rows: the closed-form moments (``_moments``) of conj((zeta - c0)^-(k+1))
+        for each controlled k, then of conj((zeta - c0)^-1), zero-padded to one
+        length; computed once per problem and shared by ``build_mu0`` and
+        ``_affine_map``."""
+        rows = [_moments(self, [(1.0, self.c0, a)])
+                for a in [k + 1 for k in self.controlled] + [1]]
+        J = max(map(len, rows))
+        return np.array([np.pad(a, (0, J - len(a))) for a in rows])
 
     def validate(self) -> None:
         if self.f.is_laurent or self.f.center != 0:
@@ -134,23 +137,30 @@ class DeformationProblem:
                 "shifted coefficients degenerates for such f", stacklevel=2)
 
 
+def _moments(problem: DeformationProblem, terms) -> np.ndarray:
+    """Closed-form exterior moments of the term density (``_term_moments``),
+    kept until the rest is below rounding at the largest |y| on ``_circle``;
+    that |y| is below 1 by ``validate``'s gap."""
+    return _term_moments(problem.disk, terms, float(np.max(np.abs(problem._circle[1]))))[0]
+
+
 def build_mu0(problem: DeformationProblem) -> Density:
     """Norm-control direction: unit pairing with (zeta-c0)^-1, none with the
     kernels of the controlled coefficients.  The pairings come from the same
-    exterior moments that ``_affine_map`` composes with f, so the
-    orthogonality holds in the solver's own discretization."""
-    orders = list(problem._basis)
-    m = len(orders)
-    gram = np.stack([problem._basis[a].taylor_coeffs(problem.c0, problem.n)
-                     for a in orders])[:, np.array(orders) - 1]
+    closed-form moments that ``_affine_map`` composes with f: with a_j the
+    moments of conj((zeta - c0)^-a) and b_j those of order b, the pairing of
+    the two kernels is -sum_j (j + 1) a_j conj(b_j) (``_term_moments``)."""
+    orders = [k + 1 for k in problem.controlled] + [1]
+    A = problem._basis_moments
+    gram = -(A * np.arange(1, A.shape[1] + 1)) @ A.conj().T
     cond = np.linalg.cond(gram)
     if cond > _COND_LIMIT:
         raise IllConditionedBasisError(
             f"kernel-power Gram matrix has condition number {cond:.3g}")
-    target = np.zeros(m, dtype=np.complex128)
+    target = np.zeros(len(orders), dtype=np.complex128)
     target[-1] = 1.0
     y = np.linalg.solve(gram.T, target)
-    terms = [(y[i], problem.c0, orders[i]) for i in range(m)]
+    terms = [(y[i], problem.c0, a) for i, a in enumerate(orders)]
     return Density.from_terms(problem.disk, terms, problem.config.n_rad, problem.config.n_ang)
 
 
@@ -182,8 +192,9 @@ def _affine_map(problem: DeformationProblem, mu0: Density) -> tuple[np.ndarray, 
     real unknowns x = (Re xi_1, Im xi_1, .., tau): the circle coefficients of
     T of each basis density composed with f, mu0's last, with the column of
     xi_i repeated times i for Im xi_i.  Exact when rho = mu (module docstring)."""
-    basis = [problem._basis[k + 1] for k in problem.controlled] + [mu0]
-    B = _circle_coeffs(problem, [(b._multipole(), problem._circle[1]) for b in basis])
+    y = problem._circle[1]
+    basis = [*problem._basis_moments[:-1], _moments(problem, mu0.terms)]
+    B = _circle_coeffs(problem, [(a, y) for a in basis])
     cols = np.repeat(np.arange(len(basis)), 2)[:-1]
     return (problem.f.truncated(problem.config.n_norm).coeffs,
             B[:, cols] * np.tile([1, 1j], len(basis))[:-1])
@@ -387,9 +398,12 @@ def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> flo
     The recovery divides the DFT of the samples by 0.9^k, so a sample
     error e becomes up to e / 0.9^64 = 850 e at k = 64.  The scaled gap is
     the gap between the two DFTs: how far the two computations of h o f
-    disagree on the circle.  At samples 1.25 radii or more from the disk's
-    center, T rho is the direct quadrature sum over the grid, independent of
-    the moments that give c; closer ones go through ``cauchy_T``.
+    disagree on the circle.  c comes from mu's closed-form moments; the
+    samples come from its grid, summed directly over the grid 1.25 radii or
+    more from the disk's center and through ``cauchy_T`` of the grid's
+    moments closer in.  This is the one place a solve compares the grid with
+    the closed form, so the grid's truncation to angular modes up to n_ang/2
+    shows here.
     """
     n_rec = min(problem.config.n_norm, _CHECK_SAMPLES // 4)
     wv = problem.f.evaluate(_CHECK_RADIUS * np.exp(2j * np.pi * np.arange(_CHECK_SAMPLES)
@@ -483,13 +497,14 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
         raise ResolutionError(
             f"the built map misses the shifts by {np.max(np.abs(r[:-1])):.3e} (coeff_tol "
             f"{cfg.coeff_tol:.1e}) and the norm by {abs(r[-1]):.3e} (norm_tol "
-            f"{cfg.norm_tol:.1e}); the grid's moments, which the solve read, differ "
-            f"from mu's closed-form ones (raise n_ang)")
+            f"{cfg.norm_tol:.1e})")
     check = _sampled_check(problem, qc, c)
     if check > cfg.coeff_tol:
         raise ResolutionError(
-            f"sampled cross-check differs from the coefficient-space residual by "
-            f"{check:.3e}, above coeff_tol {cfg.coeff_tol:.1e} (tail bound {tail:.3e})")
+            f"sampled cross-check on the {cfg.n_rad}x{cfg.n_ang} grid differs from the "
+            f"coefficient-space residual by {check:.3e}, above coeff_tol {cfg.coeff_tol:.1e} "
+            f"(tail bound {tail:.3e}); the grid resolves angular modes up to n_ang/2 only "
+            f"(raise n_ang)")
 
     drift = float(np.max(np.abs(c[: problem.j + 1] - f[: problem.j + 1])))
     eps = max(max((abs(s) for s in problem.d), default=0.0), abs(problem.a))

@@ -2,10 +2,7 @@
 
 A space is determined by a positive weight sequence w_k: the squared norm of
 f = sum c_k z^k is sum w_k |c_k|^2.  Hardy (w_k = 1), Bergman (w_k = 1/(k+1))
-and Dirichlet (w_k = max(1, k)) are built in; any rotation-invariant measure
-with a radial profile W(t) induces weights through its moments
-
-    w_k = 2 pi * integral_0^1 t^(2k+1) W(t) dt.
+and Dirichlet (w_k = max(1, k)) are built in.
 
 The growth seminorm bp_norm is sup over the disk of (1 - |z|^2)^p |f(z)|,
 located by two fixed polar scans and polished by whole-array line searches
@@ -21,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import gauss_legendre_01
 from .series import HoloSeries
 
 __all__ = [
@@ -29,7 +25,6 @@ __all__ = [
     "hardy",
     "bergman",
     "dirichlet",
-    "from_radial_measure",
     "hilbert_norm",
     "bp_norm",
     "monomial_bp_sup",
@@ -59,17 +54,6 @@ def bergman() -> SpaceSpec:
 
 def dirichlet() -> SpaceSpec:
     return SpaceSpec("dirichlet", lambda k: np.maximum(1.0, k.astype(np.float64)))
-
-
-def from_radial_measure(profile: Callable, name: str = "radial", n_quad: int = 256) -> SpaceSpec:
-    """Space of the measure W(|z|) dA; the profile must keep all moments positive."""
-    t, gw = gauss_legendre_01(n_quad)
-    wt = np.asarray(profile(t), dtype=np.float64) * gw * t
-
-    def weight_fn(k: np.ndarray) -> np.ndarray:
-        return 2.0 * np.pi * (t[None, :] ** (2 * k[:, None])) @ wt
-
-    return SpaceSpec(name, weight_fn)
 
 
 def hilbert_norm(space: SpaceSpec, f: HoloSeries) -> float:

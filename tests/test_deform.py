@@ -51,9 +51,12 @@ def test_norm_direction_pairings():
 @pytest.mark.parametrize("disk", [Disk(6.3 + 0j, 5.0), Disk(11.7 + 0j, 10.0)])
 def test_mu0_is_orthogonal_in_the_moments_the_solver_reads(disk):
     # near-circle disks alias the grid pairing; mu0 must be orthogonal in the
-    # Taylor coefficients at c0 that the affine map is built from
+    # closed-form moments that the affine map is built from, read here through
+    # the multipole-to-local translation: L_m of T mu0 at c0 is its pairing
+    # with (zeta - c0)^-(m+1)
     prob = DeformationProblem(hardy(), _linear_f(), disk, 1, 3, (0.002, 0.001), 0.0003)
-    L = build_mu0(prob).taylor_coeffs(prob.c0, 3)
+    a = deform._moments(prob, build_mu0(prob).terms)
+    L = local_matrix(disk.center, disk.radius, prob.c0, 3, 2 * len(a))[:, : len(a)] @ a
     assert abs(L[0] - 1.0) < 1e-13
     assert abs(L[2]) < 1e-13 and abs(L[3]) < 1e-13
 
@@ -233,29 +236,47 @@ def test_root_above_kappa_max_is_refused_with_its_sup():
     assert 0.5 <= sup < 0.51
 
 
-def test_map_off_the_affine_solve_is_refused_with_its_residual():
-    # R / |c - c0| = 0.897: the grid keeps moments j <= n_ang / 2 only, so
-    # the affine solve misses what mu's closed-form moments compose to
+def test_map_off_the_affine_solve_is_refused_with_its_residual(monkeypatch):
+    # R / |c - c0| = 0.897: the affine solve and the built map read the same
+    # closed-form moments, so once the grid resolves the cross-check the map
+    # meets the solve at rounding; a map composed off the solve is refused
+    # with its miss, which names no grid
     cfg = RunConfig().with_updates(coeff_tol=1e-9)
+    disk = Disk(22.3 + 0j, 20.0)
+    res = solve_deformation(_nonlinear_problem(hardy(), cfg.with_updates(n_ang=256), disk=disk))
+    assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-3, 5e-4]))) <= 1e-15
+    real = deform._composed
+
+    def shifted(problem, terms):
+        c, tail = real(problem, terms)
+        return c + 10 * cfg.coeff_tol * (np.arange(len(c)) == 2), tail
+
+    monkeypatch.setattr(deform, "_composed", shifted)
     with pytest.raises(ResolutionError, match="misses the shifts") as info:
-        solve_deformation(_nonlinear_problem(hardy(), cfg, disk=Disk(22.3 + 0j, 20.0)))
+        solve_deformation(_nonlinear_problem(hardy(), cfg, disk=disk))
     miss = float(re.search(r"misses the shifts by (\S+) ", str(info.value)).group(1))
     assert miss > cfg.coeff_tol
+    assert "n_ang" not in str(info.value)
 
 
 def test_worked_f_solves_or_is_refused_on_wide_disks():
-    # the grid keeps moments j <= n_ang / 2, which decay like (R / |c - c0|)^j;
-    # the built map is composed from mu's closed-form moments, so on the two
-    # widest disks the affine solve's miss shows and is refused with its size
+    # the solve reads mu's closed-form moments; the cross-check sums mu's
+    # grid, which resolves angular modes up to n_ang / 2, while the moments
+    # decay like (R / |c - c0|)^j, so on the two widest disks the default grid
+    # is refused with its gap and shape, and n_ang 256 solves at rounding
     cfg = RunConfig()
     res = solve_deformation(_nonlinear_problem(hardy(), disk=Disk(6.3 + 0j, 5.0)))
-    assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-3, 5e-4]))) <= cfg.coeff_tol
+    assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-3, 5e-4]))) <= 1e-15
     assert abs(res.achieved_a - 1e-4) <= cfg.norm_tol
     for disk in [Disk(11.7 + 0j, 10.0), Disk(22.3 + 0j, 20.0)]:
-        with pytest.raises(ResolutionError, match="misses the shifts by") as info:
+        with pytest.raises(ResolutionError, match="cross-check on the 48x128 grid") as info:
             solve_deformation(_nonlinear_problem(hardy(), disk=disk))
-        miss = float(re.search(r"misses the shifts by (\S+) ", str(info.value)).group(1))
-        assert miss > cfg.coeff_tol
+        gap = float(re.search(r"residual by (\S+),", str(info.value)).group(1))
+        assert gap > cfg.coeff_tol
+        assert "raise n_ang" in str(info.value)
+        res = solve_deformation(_nonlinear_problem(hardy(), cfg.with_updates(n_ang=256), disk=disk))
+        assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-3, 5e-4]))) <= 1e-15
+        assert abs(res.achieved_a - 1e-4) <= cfg.norm_tol
 
 
 @pytest.mark.parametrize("disk", [Disk(2.2 + 0j, 1.1), Disk(3.0 + 1.0j, 0.3),
@@ -290,18 +311,19 @@ def test_slow_moment_decay_is_refused_with_q_and_Y():
     assert Y == pytest.approx(30.0, rel=1e-5)
 
 
-def _exact_composed(problem: DeformationProblem, rho, K: int) -> np.ndarray:
-    """Coefficients 0 .. K of (T rho) o f: the Taylor coefficients L_m of T rho
-    at c0 (multipole-to-local matrix) times the powers (f - c0)^m, built by
-    convolution.  Exact for rho's grid interpolant, with no aliasing."""
+def _exact_composed(problem: DeformationProblem, terms, K: int) -> np.ndarray:
+    """Coefficients 0 .. K of (T mu) o f for the term density mu: the Taylor
+    coefficients L_m of T mu at c0 (multipole-to-local matrix) of mu's
+    closed-form moments, kept until the rest is below rounding at |y| = 1,
+    times the powers (f - c0)^m, built by convolution.  No aliasing."""
     f = problem.f.truncated(K).coeffs.copy()
     f[0] = 0.0
     P = np.zeros((K + 1, K + 1), dtype=complex)
     P[0, 0] = 1.0
     for m in range(1, K + 1):
         P[:, m] = np.convolve(P[:, m - 1], f)[: K + 1]
-    a = rho._multipole()
-    M = local_matrix(problem.disk.center, problem.disk.radius, problem.c0, K, rho.grid.n_ang)
+    a = deform._term_moments(problem.disk, terms, 1.0)[0]
+    M = local_matrix(problem.disk.center, problem.disk.radius, problem.c0, K, 2 * len(a))
     return P @ (M[:, : len(a)] @ a)
 
 
@@ -314,20 +336,28 @@ def test_circle_coefficients_match_the_exact_composition(disk):
     K = prob.config.n_norm
     np.testing.assert_array_equal(f, prob.f.truncated(K).coeffs)
     # columns: Re xi_2, Im xi_2 (times i), Re xi_3, Im xi_3, tau
-    for col, rho in [(0, prob._basis[3]), (2, prob._basis[4]), (4, mu0)]:
-        assert np.max(np.abs(B[:, col] - _exact_composed(prob, rho, K))) <= 1e-14
+    for col, terms in [(0, [(1.0, prob.c0, 3)]), (2, [(1.0, prob.c0, 4)]), (4, mu0.terms)]:
+        assert np.max(np.abs(B[:, col] - _exact_composed(prob, terms, K))) <= 1e-14
 
 
-@pytest.mark.parametrize("space", [hardy, bergman, dirichlet], ids=lambda s: s.__name__)
-@pytest.mark.parametrize("K", [8, 16, 32])
-def test_tail_bound_covers_the_tail_of_the_built_map(space, K):
+_WIDE = [Disk(6.3 + 0j, 5.0), Disk(11.7 + 0j, 10.0), Disk(22.3 + 0j, 20.0)]
+
+
+# bergman on Disk(22.3, 20) is refused by its discriminant, so the wide disks
+# run in hardy and dirichlet, on the 48 x 256 grid their cross-check needs
+@pytest.mark.parametrize("space, K, disk, n_ang", [
+    pytest.param(space, K, DISK, 128, id=f"{K}-{space.__name__}")
+    for K in (8, 16, 32) for space in (bergman, dirichlet, hardy)] + [
+    pytest.param(space, K, disk, 256, id=f"{K}-{space.__name__}-{disk.center.real:g}")
+    for disk in _WIDE for K in (8, 16, 32) for space in (dirichlet, hardy)])
+def test_tail_bound_covers_the_tail_of_the_built_map(space, K, disk, n_ang):
     # the truncation is coarse on purpose; norm_tol = 1 lets the solve report
     # its bound, and degrees K+1 .. 8K of the exact composition are a lower
     # estimate of the true tail
-    cfg = RunConfig().with_updates(n_norm=K, norm_tol=1.0)
-    res = solve_deformation(_nonlinear_problem(space(), cfg))
+    cfg = RunConfig().with_updates(n_norm=K, norm_tol=1.0, n_ang=n_ang)
+    res = solve_deformation(_nonlinear_problem(space(), cfg, disk=disk))
     prob = res.problem
-    c = prob.f.truncated(8 * K).coeffs + _exact_composed(prob, res.qcmap.rho, 8 * K)
+    c = prob.f.truncated(8 * K).coeffs + _exact_composed(prob, res.mu.terms, 8 * K)
     w = prob.space.weights(8 * K + 1)
     assert res.tail_bound >= np.sqrt(np.sum(w[K + 1:] * np.abs(c[K + 1:]) ** 2))
 

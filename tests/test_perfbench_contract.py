@@ -14,19 +14,24 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qcdeform
+from qcdeform import deform
 from qcdeform.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_layers():
-    # a private module name, so no generic "layers" lands in sys.modules
-    name = "_perfbench_layers_contract"
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / "layers.py")
+def _load(stem: str):
+    # a private module name, so no generic "layers" or "workloads" lands in
+    # sys.modules
+    name = f"_perfbench_{stem}_contract"
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert name not in sys.modules and "layers" not in sys.modules
+    assert name not in sys.modules and stem not in sys.modules
     return module
 
 
@@ -51,7 +56,7 @@ def _resolve(owner, chain):
 
 
 def test_traced_targets_resolve():
-    targets = _load_layers().targets()
+    targets = _load("layers").targets()
     names = {span for span, *_ in targets}
     assert {"kernels.cauchy_sum", "kernels.horner_many"} <= names
     for span, owner, attr, _hook in targets:
@@ -66,6 +71,19 @@ def test_workload_api_resolves():
         _resolve(qcdeform, chain)
     # shifts_of calls the displacement of the map that build_map returns
     assert callable(qcdeform.QcMap.displacement)
+
+
+def test_case_generator_first_order_sup_runs():
+    # the deform case generator builds mu0 and the first-order x through the
+    # public API and reads mu0.terms; its sup is the solver's own
+    f = np.array([complex(*p) for p in _DEFORM["f"]])
+    d, a = [1e-3, 5e-4], 1e-4
+    sup = _load("workloads")._first_order_sup("hardy", f, 2.2, 1.1, d, a)
+    prob = qcdeform.DeformationProblem(qcdeform.hardy(), qcdeform.HoloSeries(f, radius=np.inf),
+                                       qcdeform.Disk(2.2, 1.1), 1, 3, d, a)
+    mu0 = qcdeform.build_mu0(prob)
+    x = qcdeform.linearized_init(prob, mu0)
+    assert 0.0 < sup == pytest.approx(deform._sup_from_x(prob, mu0, x), rel=1e-12)
 
 
 # the result fields perfbench's hooks read (``perfbench/layers.py``), by type

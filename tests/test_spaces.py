@@ -15,7 +15,6 @@ from qcdeform.spaces import (
     bergman,
     bp_norm,
     dirichlet,
-    from_radial_measure,
     hardy,
     hilbert_norm,
     monomial_bp_sup,
@@ -26,20 +25,6 @@ def test_builtin_weight_sequences():
     assert np.allclose(hardy().weights(5), np.ones(5))
     assert np.allclose(bergman().weights(5), 1.0 / np.arange(1, 6))
     assert np.allclose(dirichlet().weights(5), [1, 1, 2, 3, 4])
-
-
-def test_radial_measure_reproduces_bergman():
-    # Lebesgue area measure on the disk, normalized: w_k = 1/(k+1)
-    space = from_radial_measure(lambda t: np.ones_like(t) / np.pi)
-    got = space.weights(7)
-    assert np.allclose(got, 1.0 / np.arange(1, 8), rtol=1e-12)
-
-
-def test_radial_measure_moments_against_closed_form():
-    # W(t) = t^2 / pi gives w_k = 2 int t^(2k+3) dt = 2 / (2k + 4)
-    space = from_radial_measure(lambda t: t**2 / np.pi)
-    k = np.arange(5)
-    assert np.allclose(space.weights(5), 2.0 / (2 * k + 4), rtol=1e-12)
 
 
 def test_hilbert_norm_hardy_is_coefficient_l2():
