@@ -25,7 +25,8 @@ basis, of mu0 and of the built mu, and so mu0's Gram matrix too, comes from
 the closed form (``_term_moments``), kept until the rest is below rounding.
 A certified bound on the norm of what the kept coefficients miss guards the
 truncation.  The built mu's grid serves the map and one sampled recovery of
-it, by direct quadrature of the grid far from the disk, which cross-checks
+it, by the grid's own quadrature sum far from the disk (read from the grid's
+power moments, one FFT per ring: ``kernels.cauchy_sum``), which cross-checks
 the closed form: the grid resolves angular modes up to n_ang/2 only, so its
 truncation shows there and nowhere else.  Coefficients 0 .. j are not held:
 mu0 moves coeff_0 by tau to first order (``drift_below``).
@@ -65,8 +66,8 @@ _COND_LIMIT = 1e12
 # the one cross-check of a solve samples h o f at this many points of this circle
 _CHECK_RADIUS = 0.9
 _CHECK_SAMPLES = 256
-# samples this many radii or more from the disk center are summed directly
-# over the grid (``kernels.cauchy_sum``); closer ones go through ``cauchy_T``
+# samples this many radii or more from the disk center take the grid's own
+# quadrature sum (``kernels.cauchy_sum``); closer ones go through ``cauchy_T``
 _NEAR_FACTOR = 1.25
 
 
@@ -399,11 +400,12 @@ def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> flo
     error e becomes up to e / 0.9^64 = 850 e at k = 64.  The scaled gap is
     the gap between the two DFTs: how far the two computations of h o f
     disagree on the circle.  c comes from mu's closed-form moments; the
-    samples come from its grid, summed directly over the grid 1.25 radii or
-    more from the disk's center and through ``cauchy_T`` of the grid's
-    moments closer in.  This is the one place a solve compares the grid with
-    the closed form, so the grid's truncation to angular modes up to n_ang/2
-    shows here.
+    samples come from its grid: 1.25 radii or more from the disk's center,
+    the grid's quadrature sum itself, evaluated exactly from the grid
+    measure's power moments (one FFT per ring, every index with its alias,
+    ``kernels.cauchy_sum``); closer in, ``cauchy_T`` of the grid's angular
+    modes.  This is the one place a solve compares the grid with the closed
+    form, so the grid's truncation to angular modes up to n_ang/2 shows here.
     """
     n_rec = min(problem.config.n_norm, _CHECK_SAMPLES // 4)
     wv = problem.f.evaluate(_CHECK_RADIUS * np.exp(2j * np.pi * np.arange(_CHECK_SAMPLES)
@@ -411,8 +413,8 @@ def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> flo
     rho, disk = qc.rho, problem.disk
     far = np.abs(wv - disk.center) >= _NEAR_FACTOR * disk.radius
     T = np.empty_like(wv)
-    T[far] = -kernels.cauchy_sum(rho.grid.nodes, rho.grid.weights, rho.values,
-                                 np.ascontiguousarray(wv[far])) / np.pi
+    rings = map(rho.grid.values_matrix, (rho.grid.nodes, rho.grid.weights, rho.values))
+    T[far] = -kernels.cauchy_sum(*rings, wv[far]) / np.pi
     T[~far] = cauchy_T(rho, wv[~far])
     rec = coeffs_from_circle_samples(wv + T, _CHECK_RADIUS, n_rec, alias_tol=1e-5)
     gap = np.abs(rec.series.coeffs[: n_rec + 1] - c[: n_rec + 1])

@@ -95,13 +95,43 @@ class Disk:
         object.__setattr__(self, "center", complex(self.center))
 
 
-def _eval_terms(terms, z) -> np.ndarray:
-    """sum_i c_i conj((z - p_i)^-k_i) at the points z."""
-    z = np.asarray(z, dtype=np.complex128)
-    acc = np.zeros(z.shape, dtype=np.complex128)
+def _by_pole(terms) -> dict:
+    """{pole: {m: a_m}}: g = sum_i conj(c_i) (z - p_i)^-k_i, the conjugate of
+    sum_i c_i conj((z - p_i)^-k_i), as a Laurent polynomial in z - p per pole,
+    with the coefficients of equal (pole, k) summed."""
+    merged: dict = {}
     for coeff, pole, k in terms:
-        acc += coeff if k == 0 else coeff * np.conj((z - pole) ** (-k))
+        by_m = merged.setdefault(pole, {})
+        by_m[-k] = by_m.get(-k, 0j) + np.conj(coeff)
+    return merged
+
+
+def _laurent(coeffs: dict, x: np.ndarray) -> np.ndarray:
+    """sum_m coeffs[m] x^m over the integer keys m: Horner in 1 / x over m < 0
+    and in x over m >= 0, so one reciprocal and no complex power is formed."""
+    lo, hi = min(coeffs), max(coeffs)
+    acc = np.zeros(x.shape, dtype=np.complex128)
+    if lo < 0:
+        inv = 1.0 / x
+        for m in range(lo, 0):   # a_lo x^lo + .. + a_-1 x^-1
+            acc += coeffs.get(m, 0j)
+            acc *= inv
+    if hi >= 0:
+        pos = np.zeros(x.shape, dtype=np.complex128)
+        for m in range(hi, -1, -1):
+            pos *= x
+            pos += coeffs.get(m, 0j)
+        acc += pos
     return acc
+
+
+def _eval_terms(terms, z) -> np.ndarray:
+    """sum_i c_i conj((z - p_i)^-k_i) at the points z, per pole (``_by_pole``)."""
+    z = np.asarray(z, dtype=np.complex128)
+    g = np.zeros(z.shape, dtype=np.complex128)
+    for pole, coeffs in _by_pole(terms).items():
+        g += _laurent(coeffs, z - pole)
+    return np.conj(g)
 
 
 def terms_sup(disk: Disk, terms, n_ang: int) -> float:
@@ -116,20 +146,20 @@ def terms_sup(disk: Disk, terms, n_ang: int) -> float:
     sample max by at most (h^2 / 2) sup|phi''|, |phi''| <= 2 |G| |G''| + 2 |G'|^2.
     """
     c, R, n = disk.center, disk.radius, 4 * n_ang
-    merged: dict = {}
-    for coeff, pole, k in terms:
-        merged[pole, k] = merged.get((pole, k), 0j) + coeff
     e = np.exp(2j * np.pi * np.arange(n) / n)
     z = c + R * e
     g = np.zeros((3, n), dtype=np.complex128)
     crude = np.zeros(4)   # sum_i |c_i| max over the circle of |d^p (z - p_i)^-k_i|
-    for (pole, k), coeff in merged.items():
-        fall = np.cumprod([1.0, -k, -k - 1, -k - 2])
-        for p in np.flatnonzero(fall[:3]):
-            g[p] += np.conj(coeff) * fall[p] * (z - pole) ** (-k - p)
-        # nearest (k > 0) or farthest (k < 0) circle point from the pole
-        base = abs(pole - c) + (-R if k > 0 else R)
-        crude += abs(coeff) * np.abs(fall) * base ** (-k - np.arange(4.0))
+    for pole, coeffs in _by_pole(terms).items():
+        for m, coeff in coeffs.items():   # the term (z - pole)^m, m = -k
+            fall = np.cumprod([1.0, m, m - 1, m - 2])
+            # nearest (k > 0) or farthest (k < 0) circle point from the pole
+            base = abs(pole - c) + (-R if m < 0 else R)
+            crude += abs(coeff) * np.abs(fall) * base ** (m - np.arange(4.0))
+        for p in range(3):   # g's p-th derivative, a Laurent polynomial in z - pole too
+            if coeffs:
+                g[p] += _laurent(coeffs, z - pole)
+            coeffs = {m - 1: m * coeff for m, coeff in coeffs.items() if m != 0}
     h = np.pi / n
     d3 = R * crude[1] + 3 * R**2 * crude[2] + R**3 * crude[3]
     d2 = float(np.max(np.abs(R * e * g[1] + R**2 * e**2 * g[2]))) + h * d3

@@ -138,7 +138,7 @@ def test_direct_grid_sum_runs_on_deform_only(tmp_path, capsys, monkeypatch):
     real = qcdeform.kernels.cauchy_sum
 
     def counted(nodes, weights, rho, targets):
-        pairs.append(len(nodes) * len(targets))
+        pairs.append(np.size(nodes) * np.size(targets))
         return real(nodes, weights, rho, targets)
 
     monkeypatch.setattr(qcdeform.kernels, "cauchy_sum", counted)
