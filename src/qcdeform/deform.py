@@ -501,7 +501,7 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
             f"{cfg.coeff_tol:.1e}) and the norm by {abs(r[-1]):.3e} (norm_tol "
             f"{cfg.norm_tol:.1e})")
     check = _sampled_check(problem, qc, c)
-    if check > cfg.coeff_tol:
+    if not check <= cfg.coeff_tol:
         raise ResolutionError(
             f"sampled cross-check on the {cfg.n_rad}x{cfg.n_ang} grid differs from the "
             f"coefficient-space residual by {check:.3e}, above coeff_tol {cfg.coeff_tol:.1e} "

@@ -17,13 +17,14 @@ equispaced: ring m has the nodes c + b_m omega^k, omega = e^(2 pi i / n), so
 the power moments of the grid measure are one FFT per ring (the trapezoid
 rule's identity; Trefethen & Weideman, SIAM Review 56, 2014),
 
-    M_q = sum_n W_n rho_n (z_n - c)^q = sum_m b_m^q n ifft(W_m rho_m)[q mod n],
+    M_q = sum_n W_n rho_n ((z_n - c) / s)^q = sum_m (b_m / s)^q n ifft(W_m rho_m)[q mod n],
 
-every FFT index read with its alias.  Off the outermost ring,
-S(w) = -x sum_q M_q x^q with x = 1 / (w - c) (Greengard & Rokhlin,
+every FFT index read with its alias, scaled by the outermost ring's radius
+s = max |b_m| so that no power overflows or underflows.  Off the outermost
+ring, S(w) = -x sum_q M_q (s x)^q with x = 1 / (w - c) (Greengard & Rokhlin,
 J. Comput. Phys. 73, 1987), cut after the Q moments whose geometric rest
-r^Q / (1 - r), r = max |b_m| |x|, is below a quarter of the unit roundoff
-relative to sum |W rho| |x|.  The work is O(n_rad n_ang + Q targets).
+r^Q / (1 - r), r = s |x|, is below a quarter of the unit roundoff relative
+to sum |W rho| |x|.  The work is O(n_rad n_ang + Q targets).
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def cauchy_sum(nodes, weights, rho, targets):
             f"nodes are not concentric equispaced rings: a node lies {off:.3g} from "
             f"c + b_m omega^k, with c = {complex(c):.6g} the node mean")
     x = 1.0 / (targets - c)
-    r = float(np.max(np.abs(b)) * np.max(np.abs(x)))
+    s = float(np.max(np.abs(b)))           # the outermost ring's radius
+    r = s * float(np.max(np.abs(x)))
     if r >= 1.0:
         raise ValueError(
             f"a target lies inside the outermost ring: r = max ring radius / min |w - c| "
@@ -78,7 +80,9 @@ def cauchy_sum(nodes, weights, rho, targets):
     # least Q with r^Q / (1 - r) <= eps / 4
     Q = int(np.ceil(np.log(eps / 4 * (1 - r)) / np.log(r))) if r > 0.0 else 1
     spectra = n * np.fft.ifft(np.asarray(weights) * np.asarray(rho), axis=1)
+    # moments in units of s: |b_m / s| <= 1, so no power overflows or underflows
+    s = s if s > 0.0 else 1.0
     q = np.arange(Q)
-    powers = np.abs(b)[:, None] ** q * np.exp(1j * np.angle(b)[:, None] * q)
+    powers = (np.abs(b) / s)[:, None] ** q * np.exp(1j * np.angle(b)[:, None] * q)
     moments = np.einsum("mq,mq->q", powers, spectra[:, q % n])
-    return -x * horner_many(moments, x)
+    return -x * horner_many(moments, s * x)

@@ -187,6 +187,25 @@ def test_cross_check_disagreement_is_refused_with_its_gap():
     assert gap > cfg.coeff_tol
 
 
+def test_cross_check_that_is_not_a_number_is_refused(monkeypatch):
+    # a NaN gap compares False both ways, so the refusal must not read "check > tol"
+    monkeypatch.setattr(kernels, "cauchy_sum",
+                        lambda nodes, weights, rho, w: np.full(len(w), np.nan + 0j))
+    with pytest.raises(ResolutionError, match="residual by nan,"):
+        solve_deformation(_nonlinear_problem(hardy()))
+
+
+@pytest.mark.parametrize("scale, disk", [(100.0, Disk(190.0, 80.0)), (1e-3, Disk(2.2e-3, 1.1e-3))],
+                         ids=["large", "tiny"])
+def test_cross_check_holds_on_large_and_tiny_disks(scale, disk):
+    # Q is about 170 at 1.25 R: 80^Q overflows and (1.1e-3)^Q underflows
+    # unless the grid's far sum takes its moments in units of the outermost ring
+    f = HoloSeries(scale * np.array([0.0, 1.0, 0.01, -0.005j, 0.003, 0.001]), radius=np.inf)
+    prob = DeformationProblem(hardy(), f, disk, 1, 2, (1e-3 * scale,), 1e-4 * scale,
+                              RunConfig())
+    assert solve_deformation(prob).sampled_check <= 1e-12 * scale
+
+
 def test_truncation_below_the_tail_is_refused_with_its_bound():
     cfg = RunConfig().with_updates(n_norm=4)
     with pytest.raises(ResolutionError, match="tail bound") as info:

@@ -33,14 +33,17 @@ def _rings(mu: Density, weights: np.ndarray) -> list:
 
 
 @pytest.mark.parametrize("kind", ["terms", "grid"])
-@pytest.mark.parametrize("disk", [Disk(0.3 - 0.4j, 1.2), Disk(11.7, 10.0), Disk(22.3, 20.0)],
-                         ids=["near", "wide", "wider"])
+@pytest.mark.parametrize("disk", [Disk(0.3 - 0.4j, 1.2), Disk(11.7, 10.0), Disk(22.3, 20.0),
+                                  Disk(190.0, 80.0), Disk(1e-3j, 1e-3)],
+                         ids=["near", "wide", "wider", "large", "tiny"])
 @pytest.mark.parametrize("shape", [(12, 24), (24, 64), (48, 128), (96, 256)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
 def test_ring_moments_match_the_pair_sum(shape, disk, kind):
     # the moments alias once q >= n_ang (Q is about 170 at 1.25 R), so the
     # coarse grids check that every FFT index is read with its alias; the
-    # weights vary along each ring, so no ring is a plain trapezoid rule
+    # weights vary along each ring, so no ring is a plain trapezoid rule; at
+    # radius 80, 80^Q overflows and at 1e-3, 1e-3^Q underflows unless the
+    # moments are taken in units of the outermost ring
     mu = _density(disk, kind, *shape)
     weights = mu.grid.weights * np.tile(1.0 + 0.3 * np.cos(3 * mu.grid.angles), shape[0])
     rng = np.random.default_rng(7)
