@@ -62,7 +62,7 @@ def solve_neumann(mu: Density, config: RunConfig | None = None) -> NeumannResult
         raise DilatationBoundError(
             f"dilatation sup {kappa:.4g} is not below the admissible bound {cfg.kappa_max:.4g}")
     if mu.terms is not None:
-        return NeumannResult(Density.from_grid(mu.disk, mu.values, mu.grid), 1, 0.0)
+        return NeumannResult(Density(mu.disk, mu.grid, mu.values), 1, 0.0)
     term = mu.values.copy()
     total = term.copy()
     prev = float(np.max(np.abs(term)))
@@ -70,12 +70,12 @@ def solve_neumann(mu: Density, config: RunConfig | None = None) -> NeumannResult
     before = prev
     n_terms = 1
     for _ in range(1, max_terms):
-        term = mu.values * Density.from_grid(mu.disk, term, mu.grid).beurling_on_grid()
+        term = mu.values * Density(mu.disk, mu.grid, term).beurling_on_grid()
         tn = float(np.max(np.abs(term)))
         total += term
         n_terms += 1
         if tn <= tol * scale:
-            return NeumannResult(Density.from_grid(mu.disk, total, mu.grid), n_terms, tn / scale)
+            return NeumannResult(Density(mu.disk, mu.grid, total), n_terms, tn / scale)
         if tn >= prev:
             raise DivergenceError(
                 f"Neumann term grew from {prev:.3g} to {tn:.3g} at term {n_terms}; "

@@ -113,8 +113,8 @@ class DeformationProblem:
         return np.array([np.pad(a, (0, J - len(a))) for a in rows])
 
     def validate(self) -> None:
-        if self.f.is_laurent or self.f.center != 0:
-            raise ValueError("f must be a Taylor series centered at 0")
+        if self.f.is_laurent:
+            raise ValueError("f must be a Taylor series")
         if not 0 <= self.j < self.n:
             raise ValueError("need 0 <= j < n")
         if self.config.n_norm < self.n:

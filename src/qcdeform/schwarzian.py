@@ -110,7 +110,7 @@ def invert_expansion(w: HoloSeries) -> HoloSeries:
     g[0] = 1.0
     g[1:-1] = w.coeffs[2:] / a1
     G = HoloSeries(g, radius=1.0).reciprocal()
-    return HoloSeries(G.coeffs / a1, center=0j, radius=1.0, lowest=-1)
+    return HoloSeries(G.coeffs / a1, radius=1.0, lowest=-1)
 
 
 def a_from_b(F: HoloSeries) -> HoloSeries:

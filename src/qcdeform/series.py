@@ -1,9 +1,8 @@
 """Truncated power series with a validity disk.
 
-A :class:`HoloSeries` stores Taylor coefficients around ``center`` together
-with the radius inside which evaluations are trusted.  Arithmetic keeps the
-truncation length of the longer operand and raises on center mismatches, so
-silent re-expansions never happen.
+A :class:`HoloSeries` stores Taylor coefficients around 0 together with the
+radius inside which evaluations are trusted.  Arithmetic keeps the truncation
+length of the longer operand.
 
 Inverted expansions (functions of the form ``e^{i theta} z + b0 + b1/z + ...``)
 reuse the same container with ``lowest = -1``: entry ``i`` then holds the
@@ -44,9 +43,8 @@ def _series_exp(g: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class HoloSeries:
     coeffs: np.ndarray
-    center: complex = 0j
     radius: float = 1.0
-    lowest: int = 0  # 0: Taylor in (z - center); -1: inverted expansion
+    lowest: int = 0  # 0: Taylor in z; -1: inverted expansion
 
     def __post_init__(self) -> None:
         self.coeffs = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
@@ -54,18 +52,10 @@ class HoloSeries:
             raise ValueError("coeffs must be a nonempty 1-d array")
         if self.lowest not in (0, -1):
             raise ValueError("lowest must be 0 (Taylor) or -1 (inverted)")
-        if self.lowest == -1 and self.center != 0:
-            raise ValueError("inverted expansions are centered at infinity")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-        self.center = complex(self.center)
 
     # -- basic queries ------------------------------------------------------
-
-    @property
-    def n_trunc(self) -> int:
-        """Largest retained index."""
-        return len(self.coeffs) - 1 + self.lowest
 
     @property
     def is_laurent(self) -> bool:
@@ -90,12 +80,11 @@ class HoloSeries:
                 )
             # sum_k c_k z^{-k}, k = -1..N  ==  z * horner(coeffs, 1/z)
             return z * kernels.horner_many(self.coeffs, 1.0 / z)
-        u = z - self.center
-        if np.any(np.abs(u) >= self.radius):
+        if np.any(np.abs(z) >= self.radius):
             raise EvaluationDomainError(
                 f"point outside evaluation disk of radius {self.radius}"
             )
-        return kernels.horner_many(self.coeffs, np.ascontiguousarray(u))
+        return kernels.horner_many(self.coeffs, z)
 
     def __call__(self, z):
         out = self.evaluate(z)
@@ -108,8 +97,6 @@ class HoloSeries:
     def _check_taylor(self, other: "HoloSeries | None" = None) -> None:
         if self.is_laurent or (other is not None and other.is_laurent):
             raise ValueError("series arithmetic is defined for Taylor mode only")
-        if other is not None and other.center != self.center:
-            raise ValueError("operands expanded around different centers")
 
     def _join(self, other: "HoloSeries") -> tuple[np.ndarray, np.ndarray, float]:
         n = max(len(self.coeffs), len(other.coeffs))
@@ -123,18 +110,18 @@ class HoloSeries:
         if isinstance(other, HoloSeries):
             self._check_taylor(other)
             a, b, r = self._join(other)
-            return HoloSeries(a + b, self.center, r)
+            return HoloSeries(a + b, r)
         idx = -self.lowest  # slot of the constant term
         c = self.coeffs.copy()
         if idx >= len(c):
             c = np.concatenate([c, np.zeros(idx + 1 - len(c), dtype=np.complex128)])
         c[idx] += other
-        return HoloSeries(c, self.center, self.radius, self.lowest)
+        return HoloSeries(c, self.radius, self.lowest)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HoloSeries(-self.coeffs, self.center, self.radius, self.lowest)
+        return HoloSeries(-self.coeffs, self.radius, self.lowest)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, HoloSeries) else -complex(other))
@@ -147,8 +134,8 @@ class HoloSeries:
             self._check_taylor(other)
             n = max(len(self.coeffs), len(other.coeffs))
             full = np.convolve(self.coeffs, other.coeffs)
-            return HoloSeries(full[:n], self.center, min(self.radius, other.radius))
-        return HoloSeries(self.coeffs * complex(other), self.center, self.radius, self.lowest)
+            return HoloSeries(full[:n], min(self.radius, other.radius))
+        return HoloSeries(self.coeffs * complex(other), self.radius, self.lowest)
 
     __rmul__ = __mul__
 
@@ -163,27 +150,24 @@ class HoloSeries:
             c[0] = a[0] / b[0]
             for m in range(1, n):
                 c[m] = (a[m] - np.dot(b[1 : m + 1], c[m - 1 :: -1][:m])) / b[0]
-            return HoloSeries(c, self.center, r)
+            return HoloSeries(c, r)
         return self * (1.0 / complex(other))
 
     def reciprocal(self) -> "HoloSeries":
         one = HoloSeries(
-            np.concatenate(([1.0 + 0j], np.zeros(len(self.coeffs) - 1))),
-            self.center,
-            self.radius,
-        )
+            np.concatenate(([1.0 + 0j], np.zeros(len(self.coeffs) - 1))), self.radius)
         return one / self
 
     def derivative(self) -> "HoloSeries":
         self._check_taylor()
         if len(self.coeffs) == 1:
-            return HoloSeries(np.zeros(1, dtype=np.complex128), self.center, self.radius)
+            return HoloSeries(np.zeros(1, dtype=np.complex128), self.radius)
         k = np.arange(1, len(self.coeffs))
-        return HoloSeries(self.coeffs[1:] * k, self.center, self.radius)
+        return HoloSeries(self.coeffs[1:] * k, self.radius)
 
     def exp(self) -> "HoloSeries":
         self._check_taylor()
-        return HoloSeries(_series_exp(self.coeffs), self.center, self.radius)
+        return HoloSeries(_series_exp(self.coeffs), self.radius)
 
     def truncated(self, n: int) -> "HoloSeries":
         """Keep indices 0..n, padding with zeros when n exceeds the length."""
@@ -191,7 +175,7 @@ class HoloSeries:
         c = np.zeros(n + 1, dtype=np.complex128)
         m = min(n + 1, len(self.coeffs))
         c[:m] = self.coeffs[:m]
-        return HoloSeries(c, self.center, self.radius)
+        return HoloSeries(c, self.radius)
 
 
 class RecoveredSeries(NamedTuple):
@@ -211,7 +195,8 @@ def coeffs_from_circle_samples(
     The sample count must be a power of two and at least 4 * n_keep, so the
     band between n_keep and half the sample count is pure tail; its largest
     DFT magnitude is the reported aliasing bound.  A bound above
-    ``alias_tol * max|samples|`` raises :class:`ResolutionError`.
+    ``alias_tol * max|samples|`` raises :class:`ResolutionError`, and so does
+    a sample that is not finite.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     m = len(samples)
@@ -219,6 +204,10 @@ def coeffs_from_circle_samples(
         raise ValueError("sample count must be a power of two, at least 4 * n_keep")
     if not 0 < rho_s:
         raise ValueError("rho_s must be positive")
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if len(bad):
+        raise ResolutionError(
+            f"circle sample {bad[0]} of {m} is not finite ({samples[bad[0]]})")
     hat = np.fft.fft(samples) / m
     tail = np.abs(hat[m // 4 : m // 2 + 1])
     alias = float(tail.max()) if len(tail) else 0.0

@@ -57,8 +57,8 @@ def dirichlet() -> SpaceSpec:
 
 
 def hilbert_norm(space: SpaceSpec, f: HoloSeries) -> float:
-    if f.is_laurent or f.center != 0:
-        raise ValueError("Hilbert norms are defined for Taylor series centered at 0")
+    if f.is_laurent:
+        raise ValueError("Hilbert norms are defined for Taylor series")
     c = f.coeffs
     return float(np.sqrt(np.sum(space.weights(len(c)) * np.abs(c) ** 2)))
 

@@ -19,17 +19,24 @@ and its principal-value Beurling transform lands on output mode k - 2,
 
 where the local term g(s), that is e^{-2i phi} rho(w), turns the iterated
 shell-by-shell integral into the symmetric principal value (its phase comes
-from the orientation of the excision annulus).  The radial integrals are
-one-sided with smooth kernels, so they discretize into dense matrices on the
-ring profiles with no near-diagonal singularity; a pointwise all-pairs rule
-is unusable because its error at the outermost radial nodes grows under the
-Neumann iteration.  They are built once per grid shape by ``_mode_operators``
+from the orientation of the excision annulus).  With dt = t dt/t, T's
+radial integrals are s times Pi's shell integrals, so on the unit disk both
+transforms read the one family
+
+    S_k(s) = int_s^1 g(t) (s/t)^{k-2} dt/t  (k >= 1),   int_0^s g(t) (t/s)^{2-k} dt/t  (k <= 0),
+
+T's profile being R (-2 s S_k for k >= 1, +2 s S_k for k <= 0) and Pi's
+g(s) - 2 |k-1| S_k.  The shell integrals are one-sided with smooth kernels,
+so they discretize into dense matrices on the ring profiles with no
+near-diagonal singularity; a pointwise all-pairs rule is unusable because
+its error at the outermost radial nodes grows under the Neumann iteration.
+``_mode_operators`` builds that one operator array once per grid shape
 (Daripa, SIAM J. Sci. Stat. Comput. 13, 1992), the inward integrals exactly
-by one Gauss-Legendre rule; a density applies them to its ring profiles, as
-real products on the stacked real and imaginary parts of its modes, and the
-resulting output profiles are summed at the targets, radially by barycentric
-interpolation and in angle at the signed output frequencies, or at the
-grid's own nodes by one inverse FFT per ring.
+by one Gauss-Legendre rule; a density applies it to its ring profiles, as
+real products on the stacked real and imaginary parts of its modes, scales
+the result into T's or Pi's output profiles, and those are summed at the
+targets, radially by barycentric interpolation and in angle at the signed
+output frequencies, or at the grid's own nodes by one inverse FFT per ring.
 Outside, only the modes k = -j <= 0 contribute; with x = R/(w - c) they sum
 to a finite multipole series (Greengard & Rokhlin, J. Comput. Phys. 73, 1987)
 that holds from the circle outward,
@@ -177,53 +184,43 @@ def _signed_freqs(n_ang: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _mode_operators(n_rad: int, n_ang: int) -> tuple[np.ndarray, np.ndarray]:
-    """Radial operators of T and Pi on the unit disk, one per FFT angular mode.
+def _mode_operators(n_rad: int, n_ang: int) -> np.ndarray:
+    """The one-sided shell integrals of T and Pi on the unit disk, one radial
+    operator per FFT angular mode.
 
-    Returns (cauchy, beurling).  cauchy[m] maps the ring profile g_k(t_j) of
-    the signed mode k of FFT index m to the output profile of T at the radii
-    (0, t_1, ..., t_n); beurling[m] maps it to the shell integral of Pi at
-    (t_1, ..., t_n), before the -1/pi factor and the local term.  Both kinds
-    rest on the same one-sided integrals
+    Returns a read-only (n_ang, n_rad, n_rad) array whose entry m maps the ring
+    profile g(t_j) of the signed mode k of FFT index m to
 
-        int_s^1 g(t) (s/t)^{k-2} dt/t   (k >= 1),   int_0^s g(t) (t/s)^{2-k} dt/t   (k <= 0),
+        int_s^1 g(t) (s/t)^{k-2} dt/t   (k >= 1),   int_0^s g(t) (t/s)^{2-k} dt/t   (k <= 0)
 
-    with g interpolated from the Gauss-Legendre nodes: outward in log radius on
-    uniform panels, inward exactly, since t = s u makes them int_0^1 g(s u) u^{1-k} du,
-    whose integrand has degree at most n_rad + n_ang//2 in u.  T's profiles
-    of modes k <= 1 are polynomials of degree n in s, so the extra radius 0,
-    where only mode 1 survives, makes their interpolation exact.
+    at s = t_1, ..., t_n; ``Density._expansion`` scales it into T's and Pi's
+    profiles.  g is interpolated from the Gauss-Legendre nodes: outward in log
+    radius on uniform panels, inward exactly, since t = s u makes the integral
+    int_0^1 g(s u) u^{1-k} du, whose integrand has degree at most
+    n_rad + n_ang//2 in u.
     """
-    t01, w01 = gauss_legendre_01(n_rad)
+    t01, _ = gauss_legendre_01(n_rad)
     gq, gw = np.polynomial.legendre.leggauss(20)
     ks = _signed_freqs(n_ang)
     up, dn = ks >= 1, ks <= 0
-    k_up, k_dn = ks[up][:, None], ks[dn][:, None]
-    cauchy = np.zeros((n_ang, n_rad + 1, n_rad))
-    beurling = np.zeros((n_ang, n_rad, n_rad))
-    cauchy[ks == 1, 0, :] = -2.0 * w01
+    k_up = ks[up][:, None]
+    shell = np.empty((n_ang, n_rad, n_rad))
     # inward side at all radii at once, by the smallest Gauss rule exact for that degree
     u, wu = gauss_legendre_01((n_rad + n_ang // 2) // 2 + 1)
-    shell_dn = ((wu * u ** (1 - k_dn)) @ barycentric_matrix(
+    shell[dn] = ((wu * u ** (1 - ks[dn][:, None])) @ barycentric_matrix(
         t01, np.outer(u, t01).ravel()).reshape(len(u), -1)).reshape(-1, n_rad, n_rad)
-    cauchy[dn, 1:, :] = 2.0 * t01[:, None] * shell_dn
-    beurling[dn] = 2.0 * np.pi * (1 - k_dn)[:, :, None] * shell_dn
     for i, s in enumerate(t01):
         lam_s = np.log(s)
-        # outward side [s, 1] in log radius, uniform panels
+        # outward side [s, 1] in log radius, uniform panels; dt/t = dlam
         n_up = max(1, int(np.ceil(-lam_s / _PANEL)))
         edges = lam_s * (1.0 - np.arange(n_up + 1) / n_up)
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
         lam_up = (mid[:, None] + half[:, None] * gq[None, :]).ravel()
         w_up = (half[:, None] * gw[None, :]).ravel()
-        shell_up = (w_up * np.exp(-(k_up - 2) * (lam_up - lam_s))) @ barycentric_matrix(
+        shell[up, i, :] = (w_up * np.exp(-(k_up - 2) * (lam_up - lam_s))) @ barycentric_matrix(
             t01, np.exp(lam_up))
-        # dt = t dlam turns the Cauchy weights (s/t)^{k-1} dt into s (s/t)^{k-2} dlam
-        cauchy[up, i + 1, :] = -2.0 * s * shell_up
-        beurling[up, i, :] = 2.0 * np.pi * (k_up - 1) * shell_up
-    cauchy.setflags(write=False)
-    beurling.setflags(write=False)
-    return cauchy, beurling
+    shell.setflags(write=False)
+    return shell
 
 
 @lru_cache(maxsize=8)
@@ -298,10 +295,6 @@ class Density:
         return Density(disk, grid, fn(grid.nodes))
 
     @staticmethod
-    def from_grid(disk: Disk, values: np.ndarray, grid: PolarGrid) -> "Density":
-        return Density(disk, grid, values)
-
-    @staticmethod
     def constant(disk: Disk, value: complex, n_rad: int | None = None,
                  n_ang: int | None = None) -> "Density":
         return Density.from_terms(disk, [(complex(value), 0j, 0)], n_rad, n_ang)
@@ -352,17 +345,32 @@ class Density:
                          _signed_freqs(self.grid.n_ang)[keep])
             else:
                 t, modes, freqs = self._expansion("density")
-                cauchy, beurling = _mode_operators(self.grid.n_rad, self.grid.n_ang)
-                idx = freqs.astype(int) % self.grid.n_ang
-                op = (cauchy if kind == "cauchy" else beurling)[idx]
-                # the real operators act on the real and imaginary parts side by side
-                ri = op @ np.stack([modes.real.T, modes.imag.T], axis=2)
-                applied = ri[..., 0].T + 1j * ri[..., 1].T
+                # each mode's factor goes on its profile before the shells:
+                # T's -2R S_k (k >= 1) and +2R S_k (k <= 0), times s below; Pi's -2|k-1| S_k
+                R = self.disk.radius
                 if kind == "cauchy":
-                    entry = (np.concatenate([[0.0], t]), self.disk.radius * applied, freqs - 1)
+                    factor = np.where(freqs >= 1, -2.0 * R, 2.0 * R)
+                else:
+                    factor = -2.0 * np.abs(freqs - 1)
+                g = np.ascontiguousarray((modes * factor).T)   # (n_modes, n_rad)
+                shell = _mode_operators(self.grid.n_rad, self.grid.n_ang)[
+                    freqs.astype(int) % self.grid.n_ang]
+                # the real operators act on the real and imaginary parts side by
+                # side: a float view of the complex profiles, last axis (re, im)
+                ri = shell @ g.view(np.float64).reshape(*g.shape, 2)
+                applied = ri.view(np.complex128)[..., 0].T
+                if kind == "cauchy":
+                    # dt = t dt/t makes T's radial integrals s times the shells.  T's
+                    # profiles of modes k <= 1 are polynomials of degree n in s, so
+                    # the extra radius 0, where only mode 1 survives as
+                    # -2R int_0^1 g_1(t) dt, makes their interpolation exact
+                    t01, w01 = gauss_legendre_01(self.grid.n_rad)
+                    at_0 = np.where(freqs == 1, g @ w01, 0.0)
+                    entry = (np.concatenate([[0.0], t]), np.vstack([at_0, t01[:, None] * applied]),
+                             freqs - 1)
                 else:
                     # the local term e^{-2i phi} rho(w) rides on output mode k - 2
-                    entry = (t, modes - applied / np.pi, freqs - 2)
+                    entry = (t, modes + applied, freqs - 2)
             self._expansions[kind] = entry
         return self._expansions[kind]
 
@@ -431,38 +439,35 @@ def _exterior_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x * kernels.horner_many(a, x)
 
 
-def cauchy_T(rho: Density, w) -> np.ndarray:
-    """Cauchy transform of rho at points w.
-
-    Outside the support it is the multipole series of rho's exterior
-    moments; inside, the per-mode radial operators summed at the points.
-    """
+def _split(rho: Density, w, kind: str, exterior: Callable) -> np.ndarray:
+    """T or Pi of rho at points w: exterior(a, x) of rho's moments a at
+    x = R / (w - c) off the disk, the ``kind`` expansion summed inside."""
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     out = np.empty(w.shape, dtype=np.complex128)
     u = w - rho.disk.center
     inside = np.abs(u) < rho.disk.radius
     if (~inside).any():
-        out[~inside] = _exterior_series(rho._multipole(), rho.disk.radius / u[~inside])
+        out[~inside] = exterior(rho._multipole(), rho.disk.radius / u[~inside])
     if inside.any():
-        out[inside] = _mode_sum(*rho._expansion("cauchy"), u[inside])
+        out[inside] = _mode_sum(*rho._expansion(kind), u[inside])
     return out
+
+
+def cauchy_T(rho: Density, w) -> np.ndarray:
+    """Cauchy transform of rho at points w.
+
+    Outside the support it is the multipole series of rho's exterior
+    moments; inside, the shell integrals of rho's modes summed at the points.
+    """
+    return _split(rho, w, "cauchy", _exterior_series)
 
 
 def beurling_Pi(rho: Density, w) -> np.ndarray:
     """Beurling transform of rho at points w.
 
     Outside the support it is the w-derivative of T's multipole series;
-    inside, the principal value comes from the per-mode shell integrals.
+    inside, the principal value comes from the same shell integrals.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
-    out = np.empty(w.shape, dtype=np.complex128)
-    u = w - rho.disk.center
-    inside = np.abs(u) < rho.disk.radius
-    if (~inside).any():
-        a = rho._multipole()
-        x = rho.disk.radius / u[~inside]
-        out[~inside] = -(x * x / rho.disk.radius) * kernels.horner_many(
-            np.arange(1, len(a) + 1) * a, x)
-    if inside.any():
-        out[inside] = _mode_sum(*rho._expansion("beurling"), u[inside])
-    return out
+    R = rho.disk.radius
+    return _split(rho, w, "beurling", lambda a, x: -(x * x / R) * kernels.horner_many(
+        np.arange(1, len(a) + 1) * a, x))

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qcdeform.deform
 from qcdeform.beltrami import build_map
 from qcdeform.config import RunConfig
 from qcdeform.deform import DeformationProblem, solve_deformation
@@ -148,7 +149,7 @@ def _area_theorem_shift_bound(disk: Disk, k: int) -> float:
     return r * float(np.sqrt(np.sum((r / c) ** (2 * n) * binom ** 2 / n))) / c ** k
 
 
-def test_criterion_04_deformation_end_to_end():
+def test_criterion_04_deformation_end_to_end(monkeypatch):
     # Run the construction end to end on the worked geometry Disk(2.2, 1.1):
     # shift a_2 by 1e-3 and a_3 by 5e-4 while growing the norm by 1e-4, at
     # scales 1, 1/2 and 1/4.
@@ -182,10 +183,22 @@ def test_criterion_04_deformation_end_to_end():
             refusals.append(str(exc))
     refused = all("workable bound" in msg for msg in refusals)
 
+    # the solve is exact, not iterative: each one builds exactly one map
+    built = [0]
+
+    def counted_build_map(mu, config=None):
+        built[0] += 1
+        return build_map(mu, config)
+
+    monkeypatch.setattr(qcdeform.deform, "build_map", counted_build_map)
     targets = [([1e-3 * s, 5e-4 * s], 1e-4 * s) for s in scales]
+    results, maps = [], []
     t0 = time.perf_counter()
     try:
-        results = [solve(Disk(2.2 + 0j, 1.1), d, a) for d, a in targets]
+        for d, a in targets:
+            built[0] = 0
+            results.append(solve(Disk(2.2 + 0j, 1.1), d, a))
+            maps.append(built[0])
     except ConvergenceError as exc:
         _verdict(4, False, f"solver refuses the target: {exc}")
         pytest.fail(f"the reachable target was refused: {exc}")
@@ -194,17 +207,16 @@ def test_criterion_04_deformation_end_to_end():
     res_d = max(abs(got - want) for res, (d, _) in zip(results, targets)
                 for got, want in zip(res.achieved_d, d))
     res_a = max(abs(res.achieved_a - a) for res, (_, a) in zip(results, targets))
-    steps = max(res.n_iter for res in results)
     m_ests = [res.m_est for res in results]
     stable = all(abs(m - m_ests[0]) <= 0.25 * m_ests[0] for m in m_ests)
-    ok = (steps <= 15 and res_d <= 1e-8 and res_a <= 1e-7 and stable
+    ok = (maps == [1, 1, 1] and res_d <= 1e-8 and res_a <= 1e-7 and stable
           and elapsed < 60.0 and unreachable and refused)
     _verdict(4, ok,
-             f"residuals a {res_d:.1e} (1e-8) b {res_a:.1e} (1e-7), {steps} steps (<= 15), "
+             f"residuals a {res_d:.1e} (1e-8) b {res_a:.1e} (1e-7), maps per solve {maps} (1 each), "
              f"m {', '.join(f'{m:.1f}' for m in m_ests)} stable {stable}, "
              f"{elapsed:.0f}s (< 60s); stated Disk(3, 0.3) data: area bounds "
              f"a_2 {bound_2:.2e} a_3 {bound_3:.2e}, refused {refused}")
-    assert steps <= 15
+    assert maps == [1, 1, 1]
     assert res_d <= 1e-8
     assert res_a <= 1e-7
     assert stable

@@ -12,11 +12,14 @@ from qcdeform.transforms import Density, Disk, _mode_operators, beurling_Pi
 
 def test_mode_matrix_rows_against_monomial_integrals():
     t, _ = gauss_legendre_01(16)
-    mats = _mode_operators(16, 16)[1]
+    shell = _mode_operators(16, 16)
+    # Pi's shell rows are 2 pi |k - 1| times the shell integrals
+    mats = 2.0 * np.pi * np.abs(np.fft.fftfreq(16, 1.0 / 16) - 1)[:, None, None] * shell
     # mode 0 on g = 1: (2 pi / s^2) int_0^s t dt = pi
     assert np.allclose(mats[0] @ np.ones(16), np.pi, atol=1e-12)
-    # mode 1 never contributes
-    assert np.all(mats[1] == 0.0)
+    # mode 1 reaches Pi only through the local term; T reads its shell,
+    # on g = 1: s int_s^1 dt/s = 1 - s
+    assert np.allclose(t * (shell[1] @ np.ones(16)), 1.0 - t, atol=1e-12)
     # mode 2 on g = t^2: 2 pi int_s^1 t dt = pi (1 - s^2)
     assert np.allclose(mats[2] @ t**2, np.pi * (1.0 - t**2), atol=1e-12)
     # mode -1 on g = t: (4 pi / s^3) int_0^s t^3 dt = pi s
@@ -37,7 +40,7 @@ def test_beurling_on_grid_monomial_closed_forms():
         (np.conj(u) ** 2, zero),
     ]
     for values, want in cases:
-        got = Density.from_grid(disk, values.astype(complex), grid).beurling_on_grid()
+        got = Density(disk, grid, values.astype(complex)).beurling_on_grid()
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -95,7 +98,7 @@ def test_nonsmooth_angular_density_reports_divergence():
     # center, so the iteration genuinely leaves the bounded class
     grid = polar_grid(0j, 1.0, 16, 32)
     vals = 0.4 * np.exp(2j * np.angle(grid.nodes))
-    mu = Density.from_grid(Disk(0j, 1.0), vals, grid)
+    mu = Density(Disk(0j, 1.0), grid, vals)
     with pytest.raises(DivergenceError):
         solve_neumann(mu)
 

@@ -188,10 +188,11 @@ def test_cross_check_disagreement_is_refused_with_its_gap():
 
 
 def test_cross_check_that_is_not_a_number_is_refused(monkeypatch):
-    # a NaN gap compares False both ways, so the refusal must not read "check > tol"
+    # NaN compares False both ways, so no refusal may read "x > tol"; the
+    # circle recovery names the first sample that is not finite
     monkeypatch.setattr(kernels, "cauchy_sum",
                         lambda nodes, weights, rho, w: np.full(len(w), np.nan + 0j))
-    with pytest.raises(ResolutionError, match="residual by nan,"):
+    with pytest.raises(ResolutionError, match=r"circle sample \d+ of 256 is not finite"):
         solve_deformation(_nonlinear_problem(hardy()))
 
 

@@ -23,8 +23,7 @@ def _density(disk: Disk, kind: str, n_rad: int, n_ang: int) -> Density:
     mu = Density.from_terms(disk, [(0.2, poles[0], 1), (0.1j, poles[1], 2)], n_rad, n_ang)
     if kind == "grid":
         u = (mu.grid.nodes - disk.center) / disk.radius
-        mu = Density.from_grid(disk, 0.3 * np.exp(-np.abs(u) ** 2) * (1 + np.conj(u)) ** 2,
-                               mu.grid)
+        mu = Density(disk, mu.grid, 0.3 * np.exp(-np.abs(u) ** 2) * (1 + np.conj(u)) ** 2)
     return mu
 
 

@@ -45,7 +45,7 @@ def test_mul_is_cauchy_convolution():
     g = HoloSeries(b)
     h = f * g
     want = np.convolve(a, b)
-    m = min(h.n_trunc, 8) + 1
+    m = min(len(h.coeffs) - 1, 8) + 1
     assert np.allclose(h.coeffs[:m], want[:m])
 
 
@@ -107,7 +107,7 @@ def test_laurent_evaluate_includes_inverse_power():
 def test_truncated_drops_high_orders():
     f = geometric(10)
     g = f.truncated(4)
-    assert g.n_trunc == 4
+    assert len(g.coeffs) - 1 == 4
     assert np.allclose(g.coeffs, f.coeffs[:5])
 
 
@@ -125,6 +125,16 @@ def test_circle_recovery_flags_non_decaying_spectrum():
     samples = f(np.exp(2j * np.pi * np.arange(64) / 64))
     with pytest.raises(ResolutionError):
         coeffs_from_circle_samples(samples, 1.0, 8, alias_tol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_circle_recovery_refuses_a_sample_that_is_not_finite(bad):
+    # a NaN aliasing bound compares False with its tolerance, so the refusal
+    # must name the sample instead
+    samples = geometric(12, ratio=0.4)(0.9 * np.exp(2j * np.pi * np.arange(128) / 128))
+    samples[37] = bad
+    with pytest.raises(ResolutionError, match="sample 37 of 128 is not finite"):
+        coeffs_from_circle_samples(samples, 0.9, 12)
 
 
 def test_circle_recovery_rejects_bad_sample_counts():

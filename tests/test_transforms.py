@@ -15,6 +15,7 @@ from qcdeform.transforms import (
     cauchy_T,
     cauchy_chi,
     pairing,
+    terms_sup,
 )
 
 
@@ -104,7 +105,7 @@ def test_grid_only_density_interpolates_smooth_samples():
         return u**2 + 0.3 * np.conj(u)
 
     full = Density.from_function(disk, fn, n_rad=12, n_ang=32)
-    bare = Density.from_grid(disk, full.values.copy(), full.grid)
+    bare = Density(disk, full.grid, full.values.copy())
     assert bare.terms is None
     z = disk.center + np.array([0.1 + 0.2j, -0.5j, 0.6, 0.05 - 0.7j])
     assert np.max(np.abs(bare.eval_points(z) - fn(z))) < 1e-11
@@ -114,7 +115,7 @@ def test_function_density_evaluates_like_its_grid_samples():
     disk = Disk(1.0 + 0j, 0.8)
     full = Density.from_function(disk, lambda z: np.exp(1j * z) + np.conj(z) ** 2,
                                  n_rad=12, n_ang=32)
-    bare = Density.from_grid(disk, full.values.copy(), full.grid)
+    bare = Density(disk, full.grid, full.values.copy())
     z = disk.center + np.array([0.0, 0.1 + 0.2j, -0.5j, 0.6, 0.05 - 0.79j])
     assert np.array_equal(full.eval_points(z), bare.eval_points(z))
 
@@ -123,7 +124,7 @@ def test_density_rejects_malformed_inputs():
     disk = Disk(0j, 1.0)
     base = Density.constant(disk, 1.0, n_rad=8, n_ang=16)
     with pytest.raises(ValueError):
-        Density.from_grid(disk, np.ones(5, dtype=complex), base.grid)
+        Density(disk, base.grid, np.ones(5, dtype=complex))
 
 
 @pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (0, 2), (2, 1), (5, 3), (1, 4)])
@@ -136,7 +137,7 @@ def test_interior_transforms_of_grid_only_monomials(n, m):
     R = disk.radius
     grid = Density.constant(disk, 0.0, n_rad=24, n_ang=64).grid
     u_grid = grid.nodes - disk.center
-    rho = Density.from_grid(disk, u_grid**n * np.conj(u_grid) ** m, grid)
+    rho = Density(disk, grid, u_grid**n * np.conj(u_grid) ** m)
     assert rho.terms is None
     rng = np.random.default_rng(5)
     rel = np.concatenate([[0.0, 0.999], 0.98 * np.sqrt(rng.random(10))])
@@ -162,7 +163,7 @@ def test_exterior_transforms_of_grid_only_monomials(n, m):
     R = disk.radius
     grid = Density.constant(disk, 0.0).grid
     u_grid = grid.nodes - disk.center
-    rho = Density.from_grid(disk, u_grid**n * np.conj(u_grid) ** m, grid)
+    rho = Density(disk, grid, u_grid**n * np.conj(u_grid) ** m)
     assert rho.terms is None
     rng = np.random.default_rng(7)
     rel = np.repeat([1.0001, 1.001, 1.01, 1.02, 1.05, 1.1, 1.2, 1.249, 1.251, 1.3, 2.0, 5.0], 3)
@@ -188,8 +189,7 @@ def test_exterior_series_matches_the_direct_grid_sum(kind):
     mu = Density.from_terms(disk, [(0.2, poles[0], 1), (0.1j, poles[1], 2)], 48, 128)
     if kind == "grid":
         u = mu.grid.nodes - disk.center
-        mu = Density.from_grid(disk, 0.3 * np.exp(-np.abs(u) ** 2) * (1 + np.conj(u)) ** 2,
-                               mu.grid)
+        mu = Density(disk, mu.grid, 0.3 * np.exp(-np.abs(u) ** 2) * (1 + np.conj(u)) ** 2)
     rng = np.random.default_rng(3)
     rel = np.geomspace(1.25, 100.0, 40)
     w = disk.center + disk.radius * rel * np.exp(2j * np.pi * rng.random(len(rel)))
@@ -237,8 +237,25 @@ def test_sup_of_term_density_is_certified_on_the_circle():
     peak = 1.1**-4
     assert float(np.max(np.abs(mu.values))) == pytest.approx(0.68134, abs=1e-5)
     assert peak <= mu.sup <= peak * (1 + 1e-3)
-    grid_only = Density.from_grid(mu.disk, mu.values, mu.grid)
+    grid_only = Density(mu.disk, mu.grid, mu.values)
     assert grid_only.sup == pytest.approx(0.68134, abs=1e-5)
+
+
+@pytest.mark.parametrize("n_ang", [4, 8, 16])
+def test_terms_sup_bounds_a_dense_circle_max_near_the_pole(n_ang):
+    # the derivative slack must cover poles just off the circle, where the
+    # samples are sparse against the peak: |conj((z - p)^-k)| peaks at
+    # (|p - c| - R)^-k, so the bound needs the nearest circle point there
+    disk = Disk(0.3 - 0.2j, 1.1)
+    circle = disk.center + disk.radius * np.exp(2j * np.pi * np.arange(20000) / 20000)
+    ratios = []
+    for k in (1, 2, 3, 5):
+        for gap in (1.02, 1.05, 1.1, 1.2, 1.5):
+            for angle in np.arange(6) * (2 * np.pi / 6) + 0.1:
+                pole = disk.center + gap * disk.radius * np.exp(1j * angle)
+                dense = np.max(np.abs(circle - pole) ** -k)
+                ratios.append(terms_sup(disk, [(1.0, pole, k)], n_ang) / dense)
+    assert min(ratios) >= 1.0
 
 
 def test_real_mode_products_match_the_complex_products():
@@ -255,36 +272,39 @@ def test_real_mode_products_match_the_complex_products():
         0.3j / (z - poles[1]) ** 2 - 0.2 / (z - poles[2]) ** 3))
     t, modes, freqs = mu._expansion("density")
     assert len(freqs) >= 60
-    cauchy, beurling = _mode_operators(mu.grid.n_rad, mu.grid.n_ang)
-    idx = freqs.astype(int) % mu.grid.n_ang
+    t01, w01 = gauss_legendre_01(mu.grid.n_rad)
+    shell = _mode_operators(mu.grid.n_rad, mu.grid.n_ang)[freqs.astype(int) % mu.grid.n_ang]
     g = modes.T[..., None]
-    read_back = {"cauchy": (cauchy, 1, lambda p: p / disk.radius),
-                 "beurling": (beurling, 2, lambda p: (modes - p) * np.pi)}
-    for kind, (op, shift, product_of) in read_back.items():
+    want = (shell @ g)[..., 0].T
+    # each kind scales the shell integrals by a factor per radius and mode
+    read_back = {"cauchy": (1, lambda p: p[1:] / disk.radius,
+                            np.where(freqs >= 1, -2.0, 2.0) * t01[:, None]),
+                 "beurling": (2, lambda p: (modes - p) / 2.0, np.abs(freqs - 1)[None, :])}
+    for kind, (shift, product_of, factor) in read_back.items():
         _, profiles, out_freqs = mu._expansion(kind)
         np.testing.assert_array_equal(out_freqs, freqs - shift)
-        want = (op[idx] @ g)[..., 0].T
-        scale = np.max(np.abs(op[idx]) @ np.abs(g))
-        assert np.max(np.abs(product_of(profiles) - want)) <= 1e-15 * scale
+        scale = np.max(np.abs(factor) * (np.abs(shell) @ np.abs(g))[..., 0].T)
+        assert np.max(np.abs(product_of(profiles) - factor * want)) <= 1e-15 * scale
+    # T at radius 0 keeps mode 1 only: -2 int_0^1 g_1(t) dt
+    at_0 = mu._expansion("cauchy")[1][0] / disk.radius
+    np.testing.assert_allclose(at_0, np.where(freqs == 1, -2.0 * (w01 @ modes), 0.0),
+                               rtol=0, atol=1e-15 * np.max(2.0 * w01 @ np.abs(modes)))
 
 
 def _inward_rows(n_rad, n_ang):
-    """The k <= 0 modes and their rows of both operators, as
-    (k, cauchy rows / (2 s), beurling rows / (2 pi (1 - k))): each is then the
-    inward shell D_k(s) = int_0^s g(t) (t/s)^{2-k} dt/t at the radial nodes."""
+    """The k <= 0 modes and their shell rows: the inward shells
+    D_k(s) = int_0^s g(t) (t/s)^{2-k} dt/t at the radial nodes."""
     t, _ = gauss_legendre_01(n_rad)
-    cauchy, beurling = _mode_operators(n_rad, n_ang)
     ks = _signed_freqs(n_ang)
     dn = ks <= 0
-    k = ks[dn][:, None]
-    return t, k, cauchy[dn, 1:] / (2.0 * t[:, None]), beurling[dn] / (2.0 * np.pi * (1 - k))[..., None]
+    return t, ks[dn][:, None], _mode_operators(n_rad, n_ang)[dn]
 
 
 def test_inward_shells_match_a_composite_rule_on_a_random_profile():
     # reference: 64 Gauss-Legendre panels of 20 nodes in t on [0, s], applied
     # to the same degree-47 interpolant of a seeded random profile
     n_rad, n_ang = 48, 128
-    t, k, cauchy, beurling = _inward_rows(n_rad, n_ang)
+    t, k, rows = _inward_rows(n_rad, n_ang)
     g = np.random.default_rng(20).standard_normal(n_rad)
     x, w = gauss_legendre_01(20)
     ref = np.empty((len(k), n_rad))
@@ -294,17 +314,15 @@ def test_inward_shells_match_a_composite_rule_on_a_random_profile():
         wq = (np.diff(edges)[:, None] * w).ravel()
         ref[:, i] = (wq * (tq / s) ** (2 - k) / tq) @ (barycentric_matrix(t, tq) @ g)
     scale = np.max(np.abs(ref), axis=1)
-    for rows in (cauchy, beurling):
-        assert np.all(np.max(np.abs(rows @ g - ref), axis=1) <= 1e-12 * scale)
+    assert np.all(np.max(np.abs(rows @ g - ref), axis=1) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("n_rad, n_ang", [(48, 128), (24, 64)])
 def test_inward_shells_of_monomials_are_exact(n_rad, n_ang):
     # D_k(s) of t^p is s^p / (p + 2 - k); p = n_rad - 1 is the top degree
     # the radial interpolant represents
-    t, k, cauchy, beurling = _inward_rows(n_rad, n_ang)
+    t, k, rows = _inward_rows(n_rad, n_ang)
     for p in (0, 1, 20, n_rad - 1):
         want = t**p / (p + 2 - k)
         scale = np.max(np.abs(want), axis=1)
-        for rows in (cauchy, beurling):
-            assert np.all(np.max(np.abs(rows @ t**p - want), axis=1) <= 1e-12 * scale)
+        assert np.all(np.max(np.abs(rows @ t**p - want), axis=1) <= 1e-12 * scale)
