@@ -10,26 +10,23 @@ quasiconformal map h = w + T rho satisfies
 
 The dilatation is sought in the span of conjugated kernel powers
 conj((zeta - c0)^-(k+1)) attached to the controlled coefficients plus a norm
-direction mu0 that is pairing-orthogonal to them, where c0 = f(0).  Off
-Disk(c, R), T rho is the series sum_j a_j x^(j+1) in x = R / (w - c) of rho's
-exterior moments, so h o f = f + sum_j a_j y^(j+1) with y = R / (f - c), and
-its coefficients 0 .. n_norm are one FFT of its samples at the N = 2^m >=
-4 (n_norm + 1) roots of unity (Trefethen & Weideman, SIAM Review 56, 2014),
-up to an aliasing the tail bound covers.  Every density of this span is a sum
-of conjugated pole terms, antiholomorphic on the disk, so Pi mu = 0 there,
-rho = mu, and the coefficients are affine in the unknowns: the shift rows are
-one linear solve and the norm row one real quadratic (equality-constrained
-least squares, Golub & Van Loan, Matrix Computations, sec. 6.2), whose root
-with the smaller sup of mu is taken.  Every moment the solve reads, of the
-basis, of mu0 and of the built mu, and so mu0's Gram matrix too, comes from
-the closed form (``_term_moments``), kept until the rest is below rounding.
-A certified bound on the norm of what the kept coefficients miss guards the
-truncation.  The built mu's grid serves the map and one sampled recovery of
-it, by the grid's own quadrature sum far from the disk (read from the grid's
-power moments, one FFT per ring: ``kernels.cauchy_sum``), which cross-checks
-the closed form: the grid resolves angular modes up to n_ang/2 only, so its
-truncation shows there and nowhere else.  Coefficients 0 .. j are not held:
-mu0 moves coeff_0 by tau to first order (``drift_below``).
+direction mu0 that is pairing-orthogonal to them, where c0 = f(0).  Every
+density of this span is a sum of conjugated pole terms, antiholomorphic on
+the disk, so Pi mu = 0 there and rho = mu.  Off Disk(c, R), T mu is then
+elementary (``transforms._exterior_terms``), h o f = f + (T mu) o f, and its
+coefficients 0 .. n_norm are one FFT of its samples at the N = 2^m >=
+4 (n_norm + 1) roots of unity (Trefethen & Weideman, SIAM Review 56, 2014).
+They are affine in the unknowns: the shift rows are one linear solve and the
+norm row one real quadratic (equality-constrained least squares, Golub &
+Van Loan, Matrix Computations, sec. 6.2), whose root with the smaller sup of
+mu is taken.  The same closed form on a circle |z| = r > 1 bounds, by
+Cauchy's estimate, the norm of what the kept coefficients miss
+(``_composed``).  mu0's Gram matrix comes from the closed-form exterior
+moments (``_term_moments``).  The built mu's grid serves the map and one
+sampled recovery of it, by the grid's own quadrature sum far from the disk
+(``kernels.cauchy_sum``), which cross-checks the closed form and shows the
+grid's truncation to angular modes up to n_ang/2.  Coefficients 0 .. j are
+not held: mu0 moves coeff_0 by tau to first order (``drift_below``).
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
@@ -52,7 +48,7 @@ from .errors import (
 )
 from .series import HoloSeries, coeffs_from_circle_samples
 from .spaces import SpaceSpec, hilbert_norm
-from .transforms import Density, Disk, _exterior_series, cauchy_T, terms_sup
+from .transforms import Density, Disk, _exterior_terms, cauchy_T, terms_sup
 
 __all__ = [
     "DeformationProblem",
@@ -69,6 +65,25 @@ _CHECK_SAMPLES = 256
 # samples this many radii or more from the disk center take the grid's own
 # quadrature sum (``kernels.cauchy_sum``); closer ones go through ``cauchy_T``
 _NEAR_FACTOR = 1.25
+# the tail bound's circles |z| = 1 + 2^((i - 12) / 2), i = 0 .. 15
+_LADDER = 1.0 + 2.0 ** ((np.arange(16) - 12) / 2)
+
+
+def _image_distance(f: HoloSeries, c: complex, r: np.ndarray,
+                    n: int = 256) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(v, low, wind, slack) on each circle |z| = r_i, one row each: v = f - c
+    at n uniform points; slack = (pi r_i / n) sum_k k |f_k| r_i^(k-1), the most
+    |f - c| can dip between samples; low = min |v| - slack <= min |f - c| on
+    the circle; wind, the winding number of f - c about 0, exact where low > 0
+    (each step between samples then turns by the principal argument of the
+    ratio of its ends).  Where wind is 0, f - c has no zero in |z| < r_i, so
+    min |f - c| over the closed disk is on the circle (minimum modulus)."""
+    z = r[:, None] * np.exp(2j * np.pi * np.arange(n) / n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = kernels.horner_many(f.coeffs, z) - c
+        slack = np.pi * r / n * np.polynomial.polynomial.polyval(r, np.abs(f.derivative().coeffs))
+        wind = np.rint(np.sum(np.angle(np.roll(v, -1, axis=1) / v), axis=1) / (2 * np.pi))
+    return v, np.min(np.abs(v), axis=1) - slack, wind, slack
 
 
 @dataclass(frozen=True)
@@ -95,22 +110,11 @@ class DeformationProblem:
         return self.f.coefficient(0)
 
     @cached_property
-    def _circle(self) -> tuple[np.ndarray, np.ndarray]:
-        """(z, y = R / (f(z) - c)) at the N = 2^m >= 4 (n_norm + 1) roots of unity z."""
+    def _circle(self) -> np.ndarray:
+        """y = R / (f(z) - c) at the N = 2^m >= 4 (n_norm + 1) roots of unity z."""
         n = 1 << (4 * self.config.n_norm + 3).bit_length()
         z = np.exp(2j * np.pi * np.arange(n) / n)
-        return z, self.disk.radius / (self.f.evaluate(z) - self.disk.center)
-
-    @cached_property
-    def _basis_moments(self) -> np.ndarray:
-        """Rows: the closed-form moments (``_moments``) of conj((zeta - c0)^-(k+1))
-        for each controlled k, then of conj((zeta - c0)^-1), zero-padded to one
-        length; computed once per problem and shared by ``build_mu0`` and
-        ``_affine_map``."""
-        rows = [_moments(self, [(1.0, self.c0, a)])
-                for a in [k + 1 for k in self.controlled] + [1]]
-        J = max(map(len, rows))
-        return np.array([np.pad(a, (0, J - len(a))) for a in rows])
+        return self.disk.radius / (self.f.evaluate(z) - self.disk.center)
 
     def validate(self) -> None:
         if self.f.is_laurent:
@@ -124,14 +128,22 @@ class DeformationProblem:
             raise ValueError(f"d must list {self.n - self.j} shifts for k = j+1 .. n")
         if self.f.radius <= 1.0 and not np.isinf(self.f.radius):
             raise ValueError("f must converge on the closed unit disk")
-        # the support disk must stay off the closed image of the unit disk
-        rad = np.linspace(0.0, 1.0, 41)
-        ang = np.exp(2j * np.pi * np.arange(256) / 256)
-        img = self.f.evaluate(np.outer(rad, ang).ravel() * (1.0 - 1e-12))
-        gap = float(np.min(np.abs(img - self.disk.center))) - self.disk.radius
-        if gap <= 0.05 * self.disk.radius:
-            raise ValueError(
-                f"support disk too close to the image of the unit disk (gap {gap:.3g})")
+        # the support disk must stay 0.05 R off f(closed D): a certified gap on
+        # |z| = 1 (``_image_distance``) accepts, a sampled one or a winding
+        # about c refuses, and 256 .. 2^18 samples decide the rest
+        R = self.disk.radius
+        for n in 256 << np.arange(11):
+            v, low, wind, _ = _image_distance(self.f, self.disk.center, np.ones(1), int(n))
+            if low[0] > 1.05 * R and wind[0] == 0:
+                break
+            i = int(np.argmin(np.abs(v[0])))
+            # a certified winding about c puts c in f(D), at gap -R
+            gap = -R if low[0] > 0.0 and wind[0] else abs(v[0, i]) - R
+            if gap <= 0.05 * R or n == 1 << 18:
+                raise ValueError(
+                    f"support disk too close to the image of the unit disk (gap {gap:.3g} "
+                    f"at z = exp({2 * np.pi * i / n:.6g}i) of {n} samples, certified above "
+                    f"{low[0] - R:.3g}, winding number {wind[0]:g}; it must exceed 0.05 R)")
         if len(self.f.coeffs) <= self.n + 1 or not np.any(self.f.coeffs[self.n + 1:]):
             warnings.warn(
                 "f is a polynomial of degree at most n; uniqueness of the "
@@ -140,27 +152,25 @@ class DeformationProblem:
 
 def _moments(problem: DeformationProblem, terms) -> np.ndarray:
     """Closed-form exterior moments of the term density (``_term_moments``),
-    kept until the rest is below rounding at the largest |y| on ``_circle``;
-    that |y| is below 1 by ``validate``'s gap."""
-    return _term_moments(problem.disk, terms, float(np.max(np.abs(problem._circle[1]))))[0]
+    truncated at the largest |y| on ``_circle``, below 1 by ``validate``."""
+    return _term_moments(problem.disk, terms, float(np.max(np.abs(problem._circle))))
 
 
 def build_mu0(problem: DeformationProblem) -> Density:
     """Norm-control direction: unit pairing with (zeta-c0)^-1, none with the
-    kernels of the controlled coefficients.  The pairings come from the same
-    closed-form moments that ``_affine_map`` composes with f: with a_j the
-    moments of conj((zeta - c0)^-a) and b_j those of order b, the pairing of
-    the two kernels is -sum_j (j + 1) a_j conj(b_j) (``_term_moments``)."""
+    kernels of the controlled coefficients.  The pairings come from the
+    closed-form moments (``_moments``): with a_j the moments of
+    conj((zeta - c0)^-a) and b_j those of order b, the pairing of the two
+    kernels is -sum_j (j + 1) a_j conj(b_j) (``_term_moments``)."""
     orders = [k + 1 for k in problem.controlled] + [1]
-    A = problem._basis_moments
+    rows = [_moments(problem, [(1.0, problem.c0, a)]) for a in orders]
+    A = np.array([np.pad(a, (0, max(map(len, rows)) - len(a))) for a in rows])
     gram = -(A * np.arange(1, A.shape[1] + 1)) @ A.conj().T
     cond = np.linalg.cond(gram)
     if cond > _COND_LIMIT:
         raise IllConditionedBasisError(
             f"kernel-power Gram matrix has condition number {cond:.3g}")
-    target = np.zeros(len(orders), dtype=np.complex128)
-    target[-1] = 1.0
-    y = np.linalg.solve(gram.T, target)
+    y = np.linalg.solve(gram.T, np.eye(len(orders))[-1])
     terms = [(y[i], problem.c0, a) for i, a in enumerate(orders)]
     return Density.from_terms(problem.disk, terms, problem.config.n_rad, problem.config.n_ang)
 
@@ -181,21 +191,16 @@ def _sup_from_x(problem: DeformationProblem, mu0: Density, x: np.ndarray) -> flo
     return terms_sup(problem.disk, _terms_from_x(problem, mu0, x), problem.config.n_ang)
 
 
-def _circle_coeffs(problem: DeformationProblem, series: list) -> np.ndarray:
-    """Coefficients 0 .. n_norm of sum_j a_j x^(j+1) for each (a, x) in series,
-    x sampled at the roots of unity of ``_circle``: one FFT along axis 0."""
-    samples = np.stack([_exterior_series(a, x) for a, x in series], axis=1)
-    return np.fft.fft(samples, axis=0)[: problem.config.n_norm + 1] / len(samples)
-
-
 def _affine_map(problem: DeformationProblem, mu0: Density) -> tuple[np.ndarray, np.ndarray]:
     """(f, B) with c(x) = f + B x the coefficients 0 .. n_norm of h o f for the
-    real unknowns x = (Re xi_1, Im xi_1, .., tau): the circle coefficients of
-    T of each basis density composed with f, mu0's last, with the column of
-    xi_i repeated times i for Im xi_i.  Exact when rho = mu (module docstring)."""
-    y = problem._circle[1]
-    basis = [*problem._basis_moments[:-1], _moments(problem, mu0.terms)]
-    B = _circle_coeffs(problem, [(a, y) for a in basis])
+    real unknowns x = (Re xi_1, Im xi_1, .., tau): one FFT of T of each basis
+    density, mu0's last, in closed form at the roots of unity of ``_circle``,
+    with the column of xi_i repeated times i for Im xi_i.  Exact when rho = mu
+    (module docstring)."""
+    y = problem._circle
+    basis = [[(1.0, problem.c0, k + 1)] for k in problem.controlled] + [mu0.terms]
+    samples = np.stack([_exterior_terms(problem.disk, terms, y) for terms in basis], axis=1)
+    B = np.fft.fft(samples, axis=0)[: problem.config.n_norm + 1] / len(y)
     cols = np.repeat(np.arange(len(basis)), 2)[:-1]
     return (problem.f.truncated(problem.config.n_norm).coeffs,
             B[:, cols] * np.tile([1, 1j], len(basis))[:-1])
@@ -239,6 +244,7 @@ class DeformationResult:
     n_iter: int
     residual_trace: tuple
     tail_bound: float   # bound on the norm of what h o f's kept coefficients miss
+    tail_radius: float  # the radius r > 1 of the circle that bound was read on
     sampled_check: float  # largest gap to FFT recovery from circle samples
     discriminant: float   # of the monic norm quadratic in tau
     tau_roots: tuple      # its roots, the chosen one first
@@ -258,137 +264,102 @@ class DeformationResult:
             "neumann_terms": self.qcmap.n_terms,
             "residual_trace": list(self.residual_trace),
             "tail_bound": self.tail_bound,
+            "tail_radius": self.tail_radius,
             "sampled_check": self.sampled_check,
             "discriminant": self.discriminant,
             "tau_roots": list(self.tau_roots),
         }
 
 
-def _mass_beyond(a: np.ndarray, fa: np.ndarray, R: float, d: float, N: int) -> float:
-    """Mass at degrees >= N of S = sum_j |a_j| Y^(j+1), Y = R / (d - U): at most
-    S(r) r^-N / (1 - 1/r) for r > 1 with U(r) < d (Cauchy's estimate), minimized
-    over r in logs, as Y(r) grows without bound when U(r) nears d."""
-    r = 1.0 + 2.0 ** np.arange(-30.0, 2.0, 0.25)
-    Ur = np.polynomial.polynomial.polyval(r, fa)
-    r, log_Y = r[Ur < d], np.log(R / (d - Ur[Ur < d]))[:, None]
-    with np.errstate(divide="ignore"):
-        log_S = np.logaddexp.reduce(np.log(np.abs(a)) + log_Y * np.arange(1, len(a) + 1), axis=1)
-    return float(np.exp(np.min(log_S - N * np.log(r) - np.log1p(-1.0 / r), initial=np.inf)))
+def _term_moments(disk: Disk, terms, Y: float) -> np.ndarray:
+    """The exterior moments a_0 .. a_(J-1) of the term density
+    sum_i c_i conj((zeta - p_i)^-k_i) in closed form,
 
-
-def _term_moments(disk: Disk, terms, Y: float) -> tuple[np.ndarray, float, float]:
-    """(a, rem, rem1): the exterior moments a_0 .. a_J of the term density
-    sum_i c_i conj((zeta - p_i)^-k_i) in closed form, and bounds on what the
-    dropped ones carry in the majorant of ``_composed``:
-
-        a_j  = sum_i c_i conj(C(j+k_i-1, j) (c - p_i)^-k_i R (R / (p_i - c))^j) / (j + 1),
-        rem  >= sum_(j>J) |a_j| Y^(j+1),   rem1 >= sum_(j>J) (j + 1) |a_j| Y^(j+1).
+        a_j = sum_i c_i conj(C(j+k_i-1, j) (c - p_i)^-k_i R (R / (p_i - c))^j) / (j + 1).
 
     (conj((zeta - p)^-k) has the Taylor coefficients g_j of (zeta - p)^-k at
-    c conjugated, and pairs with (zeta - c)^j to pi R^(2j+2) conj(g_j) / (j + 1).)
-    A term with k <= 0 has moments j <= -k only.  For k > 0, with
-    t = Y R / |p - c| < 1 (``_composed`` refuses otherwise), the bound
-    u_j = |c_i| |g_j| R^(j+1) Y^(j+1) / (j + 1) on its share of |a_j| Y^(j+1) has
-    u_(j+1) / u_j = t (j + k) / (j + 2), so past the last computed index the
-    shares are geometric.  J is the least index whose rem is below rounding,
-    relative to the sum of the u_j; the computed range doubles from 64 until
-    one is (or reaches 2^16, and keeps its rem).
+    c conjugated, and pairs with (zeta - c)^j to pi R^(2j+2) conj(g_j) / (j + 1);
+    the ratio of successive g_j holds for k <= 0 too, reaching 0 past j = -k.)
+    For k > 0 a term's share of |a_j| Y^(j+1) is its first times
+    C(j+k-1, j) t^j <= (j+1)^(k-1) t^j, t = Y R / |p - c| < 1; J is the least
+    index past which that stays below eps / 4 for every term (by fixed-point
+    iteration on its logarithm from 0), at most 2^16.
     """
     c, R = disk.center, disk.radius
-    top = max([64] + [-k for _, _, k in terms])
-    while True:
-        j = np.arange(top + 2.0)      # 0 .. top + 1
-        a = np.zeros(top + 1, dtype=np.complex128)
-        U = np.zeros(top + 2)         # sum_i u_j
-        geo = np.zeros(2)             # bounds on the shares beyond top + 1
-        for coeff, pole, k in terms:
-            if k <= 0:   # g below is g_j R^(j+1), here from the binomial (zeta - p)^-k
-                jj = np.arange(1 - k)
-                g = [comb(-k, i) * R ** (i + 1) * (c - pole) ** (-k - i) for i in jj]
-                a[jj] += coeff * np.conj(g) / (jj + 1)
-                U[jj] += abs(coeff) * np.abs(g) * Y ** (jj + 1.0) / (jj + 1)
-                continue
-            ratio = (j[1:] + k - 1) / j[1:] * (R / (pole - c))
-            g = R * (c - pole) ** -k * np.cumprod(np.concatenate([[1.0], ratio]))
-            a += coeff * np.conj(g[:-1]) / j[1:]
-            u = abs(coeff) * abs(R * Y * (c - pole) ** -k) * np.cumprod(
-                np.concatenate([[1.0], np.abs(ratio) * Y])) / (j + 1)
-            U += u
-            t = Y * R / abs(pole - c)
-            rho0 = t * max(1.0, (top + 1 + k) / (top + 3))
-            rho1 = t * max(1.0, (top + 1 + k) / (top + 2))
-            geo += ([u[-1] / (1 - rho0), (top + 2) * u[-1] / (1 - rho1)]
-                    if rho1 < 1 else np.inf)
-        # rem[J] for J = 0 .. top: the computed shares past J, then the geometric rest
-        rem = np.cumsum(U[::-1])[::-1][1:] + geo[0]
-        rem1 = np.cumsum((U * (j + 1))[::-1])[::-1][1:] + geo[1]
-        ok = np.flatnonzero(rem <= np.finfo(float).eps / 2 * U.sum())
-        if ok.size or top >= 1 << 16:
-            J = int(ok[0]) if ok.size else top
-            return a[: J + 1], float(rem[J]), float(rem1[J])
-        top *= 2
+    J = max([1] + [1 - k for _, _, k in terms])
+    for _, pole, k in terms:
+        if k > 0:
+            j, rate = 0.0, -np.log(Y * R / abs(pole - c))
+            for _ in range(30):
+                j = ((k - 1) * np.log1p(j) - np.log(np.finfo(float).eps / 4)) / rate
+            J = max(J, min(int(j) + 2, 1 << 16))
+    jj = np.arange(1.0, J)
+    a = np.zeros(J, dtype=np.complex128)
+    for coeff, pole, k in terms:
+        g = R * (c - pole) ** -k * np.cumprod(
+            np.concatenate([[1.0], (jj + k - 1) / jj * (R / (pole - c))]))
+        a += coeff * np.conj(g) / np.arange(1, J + 1)
+    return a
 
 
-def _composed(problem: DeformationProblem, terms) -> tuple[np.ndarray, float]:
-    """(c, tail): the coefficients 0 .. K = n_norm of h o f for the term
-    density with these ``terms``, whose exterior moments a come from the
-    closed form (``_term_moments``), and a certified bound on the norm of
-    what c misses.
+def _composed(problem: DeformationProblem, terms) -> tuple[np.ndarray, tuple[float, float]]:
+    """(c, (tail, r)): the coefficients 0 .. K = n_norm of h o f for the term
+    density with these ``terms``, one FFT of T in closed form
+    (``transforms._exterior_terms``) at the roots of unity of ``_circle``; a
+    certified bound on the norm of what c misses; the radius it used.
 
-    If F = sum_{k>=1} |f_k| < d = |c - c0|, sum_j a_j y^(j+1), y = R / (f - c),
-    is dominated coefficientwise by S = sum_j |a_j| Y^(j+1), Y = R / (d - U),
-    U = sum_{k>=1} |f_k| z^k.  Times sqrt(w_{K+1}), S(1) minus its kept sum
-    bounds the norm of the tail; for growing weights (at most like k^2), so
-    does S'(1) minus the k-weighted kept sum, times sqrt(w_{K+1}) / (K + 1).
-    The kept sums come from the FFT that gives c, whose aliasing only inflates
-    them, by at most the mass beyond N (``_mass_beyond``; it also bounds the
-    aliasing of c); it is added back, with a rounding allowance and the norm
-    of f's own coefficients above K.  The moments past the last kept one add
-    their share of S(1) (or S'(1)) to the tail and their whole S(1) to what
-    c misses.  ResolutionError when F >= d, or when q Y(1) >= 1 with
-    q = max R / |p_i - c| over the poles, as then the moments' majorant
-    diverges at z = 1.
+    (T mu) o f is the closed form at x = R / (f - c), holomorphic on |z| <= r
+    when f - c winds 0 times about 0 on |z| = r, so |R^2 / (f - c)| is at most
+    rho_r = R^2 / min |f - c| there (maximum modulus), and rho_r < |p_i - c|
+    for each pole.  On each such circle of ``_LADDER`` (``_image_distance``;
+    once one fails, all larger do, as rho_r grows with r), Cauchy's estimate
+    bounds its coefficients by M r^-k, with M the sampled max of |T| plus the
+    slack times max |dT/df| <= sum_i |c_i| / (|p_i - c| - rho_r)^k_i R^2 /
+    min |f - c|^2.  So those above K carry norm at most
+    M (sum_(k>K) w_k r^-2k)^(1/2), and the N-point FFT aliases the kept ones
+    by at most M r^-N / (1 - r^-N) (sum_(k<=K) w_k r^-2k)^(1/2) (Trefethen &
+    Weideman, SIAM Review 56, 2014).  tail is the least sum over the circles,
+    plus the norm of f's coefficients above K and a rounding allowance.
+    ResolutionError when the smallest circle fails, naming its gap.
     """
-    K, R = problem.config.n_norm, problem.disk.radius
-    fa = np.abs(problem.f.coeffs)
-    fa[0] = 0.0
-    F, d = float(fa.sum()), abs(problem.disk.center - problem.c0)
-    if F >= d:
+    disk, K = problem.disk, problem.config.n_norm
+    R, y = disk.radius, problem._circle
+    N = len(y)
+    c = problem.f.truncated(K).coeffs + np.fft.fft(_exterior_terms(disk, terms, y))[: K + 1] / N
+    cabs, dist, kk = np.array([(abs(a), abs(p - disk.center), k) for a, p, k in terms]).T
+    near = float(dist.min())
+
+    def pull(rho):   # sum_i |c_i| max |(u - p_i)^-k_i| over |u - c| <= rho
+        return (dist - np.asarray(rho)[..., None]) ** -kk @ cabs
+
+    v, low, wind, slack = _image_distance(problem.f, disk.center, _LADDER)
+    m = int(np.cumprod((low > 0.0) & (wind == 0) & (R * R < near * low)).sum())
+    if m == 0:
         raise ResolutionError(
-            f"no n_norm bounds the tail of h o f: sum_(k>=1) |f_k| = {F:.6g} reaches "
-            f"|c - f(0)| = {d:.6g}, so the majorant of R / (f - c) diverges on |z| = 1")
-    Y1 = R / (d - F)
-    q = max((R / abs(p - problem.disk.center) for _, p, k in terms if k > 0), default=0.0)
-    if q * Y1 >= 1.0:
-        raise ResolutionError(
-            f"no n_norm bounds the tail of h o f: the moments of mu decay like q^j with "
-            f"q = max R / |p_i - c| = {q:.6g}, and Y(1) = R / (|c - f(0)| - sum_(k>=1) "
-            f"|f_k|) = {Y1:.6g}, so q Y(1) >= 1 and their majorant diverges on |z| = 1")
-    a, rem, rem1 = _term_moments(problem.disk, terms, Y1)
-    z, y = problem._circle
-    N, jj = len(z), np.arange(1.0, len(a) + 1)
-    coef = _circle_coeffs(problem, [(a, y), (np.abs(a), R / (d - kernels.horner_many(fa, z)))])
-    with np.errstate(divide="ignore"):   # |a_j| Y(1)^(j+1), in logs as Y(1)^J may overflow
-        shares = np.exp(np.log(np.abs(a)) + np.log(Y1) * jj)
-    S1, S1j = float(shares.sum()), float(jj @ shares)
-    w = problem.space.weights(4 * K + 8)
-    if np.any(np.diff(w[K + 1:]) > 0):   # S'(1), with Y'(1) = Y(1)^2 sum_k k |f_k| / R
-        wt, scale = np.arange(K + 1.0), np.sqrt(w[K + 1]) / (K + 1)
-        total = (S1j + rem1) * float(np.arange(len(fa)) @ fa) / (d - F)
-    else:
-        wt, scale, total = np.ones(K + 1), np.sqrt(w[K + 1]), S1 + rem
-    beyond = _mass_beyond(a, fa, R, d, N)
-    # rounding: relative eps in a sample of Y (Horner on U, then d - U, R / .),
-    # times (j+1) in Y^(j+1), then Horner's and the FFT's (Higham, Accuracy and
-    # Stability of Numerical Algorithms, sec. 3.1, 5.1, 24.1); by Cauchy-Schwarz
-    # the kept sum's error is at most |wt|_2 times the largest sample error
-    u = np.finfo(float).eps / 2
-    eps = u * ((4 * (len(fa) - 1) * F + d + F) / (d - F) + 4 * len(a) + 7 * np.log2(N) + 5)
-    mass = (max(total - float(wt @ coef[:, 1].real), 0.0) + wt[-1] * beyond
-            + eps * (np.linalg.norm(wt) * S1j + len(a) * total))
-    t_f = np.sqrt(np.sum(problem.space.weights(len(fa))[K + 1:] * fa[K + 1:] ** 2))
-    c = problem.f.truncated(K).coeffs + coef[:, 0]
-    return c, float(scale * mass + np.sqrt(w[: K + 1].max()) * (beyond + rem) + t_f)
+            f"no circle |z| = r > 1 bounds the tail of h o f: on r = {_LADDER[0]:.6g}, the "
+            f"smallest, f - c winds {wind[0]:g} times about 0 and min |f - c| >= {low[0]:.6g}; "
+            f"the closed form needs 0 and more than R^2 / min |p_i - c| = {R * R / near:.6g} "
+            f"(gap {low[0] - R * R / near:.3g})")
+    r, low, slack = _LADDER[:m], low[:m], slack[:m]
+    M = (np.max(np.abs(_exterior_terms(disk, terms, R / v[:m])), axis=1)
+         + slack * pull(R * R / low) * R * R / low ** 2)
+    # sum_k w_k r^-2k over k = 0 .. L, past which r^-2k is below e^-80
+    L = K + 1 + int(np.ceil(40.0 / np.log(r[0])))
+    wP = problem.space.weights(L) * r[:, None] ** (-2.0 * np.arange(L))
+    bounds = M * (np.sqrt(wP[:, K + 1:].sum(axis=1))
+                  + np.sqrt(wP[:, : K + 1].sum(axis=1)) * r ** -float(N) / (1.0 - r ** -float(N)))
+    best = int(np.argmin(bounds))
+    # rounding: a term's share of the sample at y is at most |c_i| rho / (|p_i - c| - rho)^k_i
+    # with rho = R |y|, computed to about 5 |k_i| + 10 ulps (``_exterior_terms``), and
+    # the FFT adds 2 log2 N (Higham, Accuracy and Stability of Numerical Algorithms,
+    # sec. 3.1, 24.1); by Parseval the kept coefficients' errors have norm at most
+    # sqrt(max w_k) times the root mean square of the sample errors
+    rho = R * np.abs(y)
+    rounding = np.finfo(float).eps / 2 * (5 * np.max(kk) + 10 + 2 * np.log2(N)) * np.sqrt(
+        np.mean((rho * pull(rho)) ** 2) * np.max(problem.space.weights(K + 1)))
+    fa = np.abs(problem.f.coeffs[K + 1:])   # f's own coefficients above K
+    t_f = np.sqrt(problem.space.weights(K + 1 + len(fa))[K + 1:] @ fa ** 2)
+    return c, (float(bounds[best] + rounding + t_f), float(r[best]))
 
 
 def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> float:
@@ -399,8 +370,8 @@ def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> flo
     The recovery divides the DFT of the samples by 0.9^k, so a sample
     error e becomes up to e / 0.9^64 = 850 e at k = 64.  The scaled gap is
     the gap between the two DFTs: how far the two computations of h o f
-    disagree on the circle.  c comes from mu's closed-form moments; the
-    samples come from its grid: 1.25 radii or more from the disk's center,
+    disagree on the circle.  c comes from mu's closed form; the samples
+    come from its grid: 1.25 radii or more from the disk's center,
     the grid's quadrature sum itself, evaluated exactly from the grid
     measure's power moments (one FFT per ring, every index with its alias,
     ``kernels.cauchy_sum``); closer in, ``cauchy_T`` of the grid's angular
@@ -430,10 +401,10 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
     the workable bound (the shifts are too large for the support disk) or when
     the quadratic's discriminant is negative (no dilatation in the span holds
     the shifts and reaches the norm); DilatationBoundError when the chosen
-    root's sup is at least kappa_max; ResolutionError when no n_norm bounds the
-    tail (``_composed``) or its bound exceeds norm_tol, when the built map misses the
-    targets by more than coeff_tol or norm_tol, or when the cross-check
-    disagrees by more than coeff_tol.
+    root's sup is at least kappa_max; ResolutionError when no circle |z| = r > 1
+    keeps (T mu) o f holomorphic (``_composed``) or the tail bound exceeds
+    norm_tol, when the built map misses the targets by more than coeff_tol or
+    norm_tol, or when the cross-check disagrees by more than coeff_tol.
     """
     problem.validate()
     cfg = problem.config
@@ -489,7 +460,7 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
     mu._expansions["sup"] = sup
 
     qc = build_map(mu, cfg)
-    c, tail = _composed(problem, mu.terms)
+    c, (tail, tail_radius) = _composed(problem, mu.terms)
     if not tail <= cfg.norm_tol:
         raise ResolutionError(
             f"the coefficients of h o f above degree {K} may carry norm up to "
@@ -514,5 +485,5 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
     return DeformationResult(
         problem, mu, qc, tuple(c[ctrl] - f[ctrl]),
         hilbert_norm(problem.space, HoloSeries(c)) - norm_f, drift, sup, eps,
-        sup / eps if eps > 0 else float("nan"), 0, trace, tail, check,
+        sup / eps if eps > 0 else float("nan"), 0, trace, tail, tail_radius, check,
         float(disc), (tau, other))

@@ -141,6 +141,39 @@ def _eval_terms(terms, z) -> np.ndarray:
     return np.conj(g)
 
 
+def _log1p(q: np.ndarray) -> np.ndarray:
+    """log(1 + q), principal branch, to a few ulps of its modulus as q -> 0;
+    numpy's complex log1p is accurate to about eps absolutely only."""
+    return (0.5 * np.log1p(q.real * (2.0 + q.real) + q.imag ** 2)
+            + 1j * np.arctan2(q.imag, 1.0 + q.real))
+
+
+def _exterior_terms(disk: Disk, terms, x: np.ndarray) -> np.ndarray:
+    """T of the term density sum_i c_i conj((zeta - p_i)^-k_i), all k_i >= 1,
+    at x = R / (w - c) off the disk, in closed form (Astala, Iwaniec & Martin,
+    Elliptic PDE and Quasiconformal Mappings in the Plane, 2009, ch. 4-5):
+    conj(G(c + R conj(x)) - G(c)), G' = g of ``_by_pole``, at the reflection of
+    w in the circle.  Per pole p, with s = c - p and q = R conj(x) / s,
+    (z - p)^-1 adds ``_log1p``(q) and (z - p)^(n-1), n <= -1, adds
+    s^n q e_n / n, e_n = ((1 + q)^n - 1) / q from e_0 = 0 by
+    e_(n-1) = (e_n - 1) / (1 + q), so no nearby values are subtracted.  It
+    holds while |q| < 1 at each pole.
+    """
+    out = np.zeros(np.shape(x), dtype=np.complex128)
+    for pole, coeffs in _by_pole(terms).items():
+        s = disk.center - pole
+        q = disk.radius * np.conj(x) / s
+        acc, e = np.zeros_like(q), np.zeros_like(q)
+        for n in range(-1, min(coeffs), -1):
+            e = (e - 1.0) / (1.0 + q)
+            if n - 1 in coeffs:
+                acc += (coeffs[n - 1] * s ** n / n) * e
+        out += q * acc
+        if -1 in coeffs:
+            out += coeffs[-1] * _log1p(q)
+    return np.conj(out)
+
+
 def terms_sup(disk: Disk, terms, n_ang: int) -> float:
     """Upper bound on the sup over the closed disk of |sum_i c_i conj((z - p_i)^-k_i)|.
 
@@ -434,11 +467,6 @@ def cauchy_chi(disk: Disk, w) -> np.ndarray:
     return out
 
 
-def _exterior_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j a_j x^(j+1): T at x = R / (w - c) off the disk, from its moments a."""
-    return x * kernels.horner_many(a, x)
-
-
 def _split(rho: Density, w, kind: str, exterior: Callable) -> np.ndarray:
     """T or Pi of rho at points w: exterior(a, x) of rho's moments a at
     x = R / (w - c) off the disk, the ``kind`` expansion summed inside."""
@@ -459,7 +487,7 @@ def cauchy_T(rho: Density, w) -> np.ndarray:
     Outside the support it is the multipole series of rho's exterior
     moments; inside, the shell integrals of rho's modes summed at the points.
     """
-    return _split(rho, w, "cauchy", _exterior_series)
+    return _split(rho, w, "cauchy", lambda a, x: x * kernels.horner_many(a, x))
 
 
 def beurling_Pi(rho: Density, w) -> np.ndarray:

@@ -4,11 +4,13 @@ Everything runs in process through main(argv) with stdout captured, so
 the byte-identical determinism promise can be asserted on raw text.
 """
 
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +406,15 @@ def test_parser_is_reused_across_calls_in_one_process(tmp_path, capsys):
     assert code == 0
     assert first == second
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_console_script_resolves_to_cli_main():
+    # the installed qcdeform command runs the target named in pyproject.toml
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"qcdeform": "qcdeform.cli:main"}
+    module, name = scripts["qcdeform"].split(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_module_entry_point_runs_ops_selftest():
