@@ -10,11 +10,12 @@ Neumann iteration above, which contracts at rate ||mu||_inf.  A dilatation
 given by conjugated pole terms, sum_i c_i conj((zeta - p_i)^-k_i), needs no
 iteration: it is antiholomorphic on the disk, so Pi mu = 0 there and the
 series stops at rho = mu (Astala, Iwaniec & Martin, Elliptic PDE and
-Quasiconformal Mappings in the Plane, 2009).
+Quasiconformal Mappings in the Plane, 2009).  rho is then mu itself, terms
+kept, and the map's T rho is their closed form: no grid sample is read.
 
-Each Beurling application is ``Density.beurling_on_grid``: the density's
-angular modes through the per-mode radial operators of ``transforms``,
-summed back at the grid nodes.
+For other densities each Beurling application is
+``Density.beurling_on_grid``: the density's angular modes through the
+per-mode radial operators of ``transforms``, summed back at the grid nodes.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class NeumannResult(NamedTuple):
 def solve_neumann(mu: Density, config: RunConfig | None = None) -> NeumannResult:
     """Sum the Neumann series for rho on mu's grid, until a term falls below
     1e-12 of the first.  For a density with pole ``terms`` the second term
-    mu Pi mu is exactly 0 (module docstring), so rho is mu's grid samples,
-    after 1 term with residual 0.
+    mu Pi mu is exactly 0 (module docstring), so rho is mu itself, terms
+    kept, after 1 term with residual 0.
 
     A series contracting at the config's kappa_max reaches that in
     ceil(log(1e-12) / log(kappa_max)) + 1 terms (41 at kappa_max 0.5), which
@@ -62,7 +63,7 @@ def solve_neumann(mu: Density, config: RunConfig | None = None) -> NeumannResult
         raise DilatationBoundError(
             f"dilatation sup {kappa:.4g} is not below the admissible bound {cfg.kappa_max:.4g}")
     if mu.terms is not None:
-        return NeumannResult(Density(mu.disk, mu.grid, mu.values), 1, 0.0)
+        return NeumannResult(mu, 1, 0.0)
     term = mu.values.copy()
     total = term.copy()
     prev = float(np.max(np.abs(term)))

@@ -259,8 +259,9 @@ def _cmd_selftest(doc: dict, cfg: RunConfig, args) -> dict:
     rng = np.random.default_rng(0)
     checks = []
 
+    # grid-only densities (no terms), so the mode engine is what is checked
     disk = Disk(0.4 + 0.2j, 1.0)
-    rho = Density.constant(disk, 1.0, cfg.n_rad, cfg.n_ang)
+    rho = Density.from_function(disk, np.ones_like, cfg.n_rad, cfg.n_ang)
     probes_in = disk.center + 0.9 * np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
     probes_out = disk.center + (1.3 + 1.5 * rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
     probes = np.concatenate([probes_in, probes_out])
@@ -283,7 +284,7 @@ def _cmd_selftest(doc: dict, cfg: RunConfig, args) -> dict:
     checks.append(("dw_of_T_is_beurling", err, 1e-5))
 
     k = 0.05 + 0.03j
-    mu = Density.constant(disk, k, cfg.n_rad, cfg.n_ang)
+    mu = Density.from_function(disk, lambda z: np.full(z.shape, k), cfg.n_rad, cfg.n_ang)
     qc = build_map(mu, cfg)
     expected = probes + k * np.asarray(cauchy_chi(disk, probes))
     err = float(np.max(np.abs(qc(probes) - expected)))

@@ -22,11 +22,12 @@ Van Loan, Matrix Computations, sec. 6.2), whose root with the smaller sup of
 mu is taken.  The same closed form on a circle |z| = r > 1 bounds, by
 Cauchy's estimate, the norm of what the kept coefficients miss
 (``_composed``).  mu0's Gram matrix comes from the closed-form exterior
-moments (``_term_moments``).  The built mu's grid serves the map and one
-sampled recovery of it, by the grid's own quadrature sum far from the disk
-(``kernels.cauchy_sum``), which cross-checks the closed form and shows the
-grid's truncation to angular modes up to n_ang/2.  Coefficients 0 .. j are
-not held: mu0 moves coeff_0 by tau to first order (``drift_below``).
+moments (``_term_moments``).  The built map is mu's closed form; mu's
+grid serves only one sampled recovery of it, by the grid's own quadrature
+sum far from the disk (``kernels.cauchy_sum``), which cross-checks the
+closed form and shows the grid's truncation to angular modes up to n_ang/2.
+Coefficients 0 .. j are not held: mu0 moves coeff_0 by tau to first order
+(``drift_below``).
 """
 
 from __future__ import annotations
@@ -343,11 +344,15 @@ def _composed(problem: DeformationProblem, terms) -> tuple[np.ndarray, tuple[flo
     r, low, slack = _LADDER[:m], low[:m], slack[:m]
     M = (np.max(np.abs(_exterior_terms(disk, terms, R / v[:m])), axis=1)
          + slack * pull(R * R / low) * R * R / low ** 2)
-    # sum_k w_k r^-2k over k = 0 .. L, past which r^-2k is below e^-80
-    L = K + 1 + int(np.ceil(40.0 / np.log(r[0])))
-    wP = problem.space.weights(L) * r[:, None] ** (-2.0 * np.arange(L))
-    bounds = M * (np.sqrt(wP[:, K + 1:].sum(axis=1))
-                  + np.sqrt(wP[:, : K + 1].sum(axis=1)) * r ** -float(N) / (1.0 - r ** -float(N)))
+    # sum_k w_k r_i^-2k over k = 0 .. L_i, past which r_i^-2k is below e^-80
+    log_r = np.log(r)
+    L = K + 1 + np.ceil(40.0 / log_r).astype(int)
+    weights = problem.space.weights(int(L[0]))
+    head, rest = np.empty(m), np.empty(m)
+    for i in range(m):
+        wP = weights[: L[i]] * np.exp(-2.0 * log_r[i] * np.arange(L[i]))
+        head[i], rest[i] = wP[: K + 1].sum(), wP[K + 1:].sum()
+    bounds = M * (np.sqrt(rest) + np.sqrt(head) * r ** -float(N) / (1.0 - r ** -float(N)))
     best = int(np.argmin(bounds))
     # rounding: a term's share of the sample at y is at most |c_i| rho / (|p_i - c| - rho)^k_i
     # with rho = R |y|, computed to about 5 |k_i| + 10 ulps (``_exterior_terms``), and
@@ -381,7 +386,8 @@ def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> flo
     n_rec = min(problem.config.n_norm, _CHECK_SAMPLES // 4)
     wv = problem.f.evaluate(_CHECK_RADIUS * np.exp(2j * np.pi * np.arange(_CHECK_SAMPLES)
                                                    / _CHECK_SAMPLES))
-    rho, disk = qc.rho, problem.disk
+    # a grid-only view of rho, so that cauchy_T sums the grid, not rho's terms
+    rho, disk = Density(qc.rho.disk, qc.rho.grid, qc.rho.values), problem.disk
     far = np.abs(wv - disk.center) >= _NEAR_FACTOR * disk.radius
     T = np.empty_like(wv)
     rings = map(rho.grid.values_matrix, (rho.grid.nodes, rho.grid.weights, rho.values))

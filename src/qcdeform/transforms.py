@@ -57,11 +57,17 @@ For the indicator this reproduces the closed forms
     T chi (w) = radius^2 / (w - center)       for w outside,
 
 and Pi chi = 0 inside.
+
+A density built from conjugated pole terms (``Density.from_terms``) takes
+none of these paths for T and Pi: they come from its terms in closed form
+at every point (``_exterior_terms``), and its grid samples are evaluated only
+when something reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -149,28 +155,41 @@ def _log1p(q: np.ndarray) -> np.ndarray:
 
 
 def _exterior_terms(disk: Disk, terms, x: np.ndarray) -> np.ndarray:
-    """T of the term density sum_i c_i conj((zeta - p_i)^-k_i), all k_i >= 1,
-    at x = R / (w - c) off the disk, in closed form (Astala, Iwaniec & Martin,
-    Elliptic PDE and Quasiconformal Mappings in the Plane, 2009, ch. 4-5):
-    conj(G(c + R conj(x)) - G(c)), G' = g of ``_by_pole``, at the reflection of
-    w in the circle.  Per pole p, with s = c - p and q = R conj(x) / s,
+    """T of the term density sum_i c_i conj((zeta - p_i)^-k_i) in closed form
+    (Astala, Iwaniec & Martin, Elliptic PDE and Quasiconformal Mappings in the
+    Plane, 2009, ch. 4-5): conj(G(z) - G(c)) at z = c + R conj(x), G' = g of
+    ``_by_pole``.  x = R / (w - c) puts z at the reflection of a point w off
+    the disk; x = conj(w - c) / R puts z at a point w of the disk itself, where
+    conj(G(w) - G(c)) is T too (its dbar is mu, and it meets the exterior form
+    on the circle).  Per pole p, with s = c - p and q = (z - c) / s,
     (z - p)^-1 adds ``_log1p``(q) and (z - p)^(n-1), n <= -1, adds
     s^n q e_n / n, e_n = ((1 + q)^n - 1) / q from e_0 = 0 by
-    e_(n-1) = (e_n - 1) / (1 + q), so no nearby values are subtracted.  It
-    holds while |q| < 1 at each pole.
+    e_(n-1) = (e_n - 1) / (1 + q), so no nearby values are subtracted; that
+    holds while |q| < 1, which a pole off the closed disk keeps.  A
+    polynomial term (z - p)^m, m = -k >= 0, adds
+    sum_(j=0..m) C(m, j) s^(m-j) (z - c)^(j+1) / (j + 1), which holds for any
+    p and never divides by s (a constant's pole 0 may be the center).
     """
     out = np.zeros(np.shape(x), dtype=np.complex128)
+    u = disk.radius * np.conj(x)
     for pole, coeffs in _by_pole(terms).items():
         s = disk.center - pole
-        q = disk.radius * np.conj(x) / s
-        acc, e = np.zeros_like(q), np.zeros_like(q)
-        for n in range(-1, min(coeffs), -1):
-            e = (e - 1.0) / (1.0 + q)
-            if n - 1 in coeffs:
-                acc += (coeffs[n - 1] * s ** n / n) * e
-        out += q * acc
-        if -1 in coeffs:
-            out += coeffs[-1] * _log1p(q)
+        b: dict = {}   # the polynomial terms' antiderivative, in powers of u = z - c
+        for m, a in coeffs.items():
+            for j in range(m + 1):   # none for m < 0
+                b[j + 1] = b.get(j + 1, 0j) + a * math.comb(m, j) * s ** (m - j) / (j + 1)
+        if b:
+            out += _laurent(b, u)
+        if min(coeffs) < 0:
+            q = u / s
+            acc, e = np.zeros_like(q), np.zeros_like(q)
+            for n in range(-1, min(coeffs), -1):
+                e = (e - 1.0) / (1.0 + q)
+                if n - 1 in coeffs:
+                    acc += (coeffs[n - 1] * s ** n / n) * e
+            out += q * acc
+            if -1 in coeffs:
+                out += coeffs[-1] * _log1p(q)
     return np.conj(out)
 
 
@@ -285,26 +304,35 @@ def _mode_sum(radii: np.ndarray, profiles: np.ndarray, freqs: np.ndarray,
     return ((B @ profiles) * phase).sum(axis=1)
 
 
-@dataclass(eq=False)
 class Density:
     """A bounded measurable coefficient on a disk.
 
-    ``values`` holds samples on the disk's quadrature grid; a density built
-    from conjugated pole ``terms`` keeps them too, for exact point values and
-    a certified sup.  The transforms and pairings read the samples only,
-    through their modes, and so do point values of a density without terms.
+    ``values`` holds samples on the disk's quadrature grid.  A density built
+    from conjugated pole ``terms`` keeps the terms and evaluates its samples
+    from them only when ``values`` is first read; its point values, sup, T
+    and Pi come from the terms in closed form (``_exterior_terms``).  Its
+    pairings, Taylor coefficients and ``beurling_on_grid`` read the samples,
+    through their modes, as every transform of a density without terms does.
     """
 
-    disk: Disk
-    grid: PolarGrid
-    values: np.ndarray
-    terms: tuple | None = None  # ((coeff, pole, k), ...) meaning coeff * conj((z-pole)^-k)
-    _expansions: dict = field(default_factory=dict, repr=False)
+    def __init__(self, disk: Disk, grid: PolarGrid, values: np.ndarray | None = None,
+                 terms: tuple | None = None):
+        # terms: ((coeff, pole, k), ...) meaning coeff * conj((z-pole)^-k)
+        if values is None and terms is None:
+            raise ValueError("a density needs grid samples or pole terms")
+        if values is not None:
+            values = np.ascontiguousarray(values, dtype=np.complex128)
+            if values.shape != (grid.size,):
+                raise ValueError("values must be flat samples on the density's grid")
+        self.disk, self.grid, self.terms = disk, grid, terms
+        self._values = values
+        self._expansions: dict = {}
 
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.grid.size,):
-            raise ValueError("values must be flat samples on the density's grid")
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _eval_terms(self.terms, self.grid.nodes)
+        return self._values
 
     # -- constructors --------------------------------------------------------
 
@@ -317,7 +345,7 @@ class Density:
         for _, pole, k in terms:
             if k > 0 and abs(pole - disk.center) <= disk.radius * (1 + 1e-12):
                 raise SingularKernelError("pole of a basis term touches the support disk")
-        return Density(disk, grid, _eval_terms(terms, grid.nodes), terms=terms)
+        return Density(disk, grid, terms=terms)
 
     @staticmethod
     def from_function(disk: Disk, fn: Callable, n_rad: int | None = None,
@@ -468,8 +496,9 @@ def cauchy_chi(disk: Disk, w) -> np.ndarray:
 
 
 def _split(rho: Density, w, kind: str, exterior: Callable) -> np.ndarray:
-    """T or Pi of rho at points w: exterior(a, x) of rho's moments a at
-    x = R / (w - c) off the disk, the ``kind`` expansion summed inside."""
+    """T or Pi of a density without terms at points w: exterior(a, x) of
+    rho's moments a at x = R / (w - c) off the disk, the ``kind`` expansion
+    summed inside."""
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     out = np.empty(w.shape, dtype=np.complex128)
     u = w - rho.disk.center
@@ -481,21 +510,44 @@ def _split(rho: Density, w, kind: str, exterior: Callable) -> np.ndarray:
     return out
 
 
+def _term_points(disk: Disk, w) -> tuple[np.ndarray, np.ndarray]:
+    """(x, inside) for ``_exterior_terms`` at points w: x = conj(w - c) / R in
+    the disk, so c + R conj(x) is w, and x = R / (w - c) off it, its reflection."""
+    u = np.atleast_1d(np.asarray(w, dtype=np.complex128)) - disk.center
+    inside = np.abs(u) < disk.radius
+    x = np.empty(u.shape, dtype=np.complex128)
+    x[inside] = np.conj(u[inside]) / disk.radius
+    x[~inside] = disk.radius / u[~inside]
+    return x, inside
+
+
 def cauchy_T(rho: Density, w) -> np.ndarray:
     """Cauchy transform of rho at points w.
 
-    Outside the support it is the multipole series of rho's exterior
-    moments; inside, the shell integrals of rho's modes summed at the points.
+    For a density with pole terms it is their closed form
+    (``_exterior_terms``) at every point.  Otherwise, outside the support it
+    is the multipole series of rho's exterior moments; inside, the shell
+    integrals of rho's modes summed at the points.
     """
+    if rho.terms is not None:
+        return _exterior_terms(rho.disk, rho.terms, _term_points(rho.disk, w)[0])
     return _split(rho, w, "cauchy", lambda a, x: x * kernels.horner_many(a, x))
 
 
 def beurling_Pi(rho: Density, w) -> np.ndarray:
     """Beurling transform of rho at points w.
 
-    Outside the support it is the w-derivative of T's multipole series;
-    inside, the principal value comes from the same shell integrals.
+    For a density with pole terms it is 0 in the disk (T is antiholomorphic
+    there) and, off it, the w-derivative of the closed form: -x^2 times rho
+    at the reflected point c + R conj(x), x = R / (w - c).  Otherwise, outside
+    the support it is the w-derivative of T's multipole series; inside, the
+    principal value comes from the same shell integrals.
     """
     R = rho.disk.radius
+    if rho.terms is not None:
+        x, inside = _term_points(rho.disk, w)
+        out = -x * x * _eval_terms(rho.terms, rho.disk.center + R * np.conj(x))
+        out[inside] = 0.0
+        return out
     return _split(rho, w, "beurling", lambda a, x: -(x * x / R) * kernels.horner_many(
         np.arange(1, len(a) + 1) * a, x))

@@ -159,15 +159,14 @@ def test_anti_analytic_dilatation_needs_two_terms_only():
 
 def test_term_dilatation_is_its_own_neumann_output():
     # conjugated pole terms are antiholomorphic on the disk: Pi mu = 0 there,
-    # so the series stops at rho = mu, the grid samples of the terms
+    # so the series stops at rho = mu, which keeps its terms
     disk = Disk(0.2 - 0.3j, 0.9)
     poles = disk.center + disk.radius * np.array([1.6, 1.7j, -1.8 + 0.1j])
     terms = [(0.1, poles[0], 1), (0.05j, poles[1], 2), (-0.07, poles[2], 3), (0.02, 0j, 0)]
     mu = Density.from_terms(disk, terms)
     rho, n_terms, residual = solve_neumann(mu)
     assert (n_terms, residual) == (1, 0.0)
-    assert rho.terms is None
-    np.testing.assert_array_equal(rho.values, mu.values)
+    assert rho is mu and rho.terms == mu.terms
     assert verify_map(build_map(mu)).ok
     # the sup is still checked first
     scaled = Density.from_terms(disk, [(0.51 * c / mu.sup, p, k) for c, p, k in terms])

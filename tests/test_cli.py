@@ -301,6 +301,38 @@ def test_verify_constant_dilatation(tmp_path, capsys):
     assert report["jacobian_min"] > 0
 
 
+@pytest.mark.parametrize("mu", [
+    {"terms": [[[0.1, 0.0], [1.64, -0.3], 1], [[0.0, 0.05], [0.2, 1.23], 2],
+               [[-0.02, 0.01], [-1.5, -0.4], 3]]},
+    {"constant": [0.05, -0.1]},
+])
+def test_verify_of_a_term_dilatation_reads_no_grid(tmp_path, capsys, monkeypatch, mu):
+    # a term density's map is its closed form: verify builds no mode
+    # expansion and never evaluates the density's grid samples
+    from qcdeform.transforms import Density
+
+    def refuse(self, kind):
+        raise AssertionError(f"mode expansion {kind!r} built")
+
+    built = []
+    from_terms = Density.from_terms
+
+    def kept(*args):
+        built.append(from_terms(*args))
+        return built[-1]
+
+    monkeypatch.setattr(Density, "_expansion", refuse)
+    monkeypatch.setattr(Density, "from_terms", staticmethod(kept))
+    path = write_doc(tmp_path, "verify.json",
+                     {"disk": {"center": [0.2, -0.3], "radius": 0.9}, "mu": mu})
+    code, out, _ = run(["verify", "--config", path], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert (report["neumann_terms"], report["neumann_residual"]) == (1, 0.0)
+    assert len(built) == 1 and built[0]._values is None
+
+
 def test_approx_recovers_two_poles(tmp_path, capsys):
     doc = {
         "target": {"poles": [0.6, 2.9], "strengths": [[1.2, -0.3], [0.8, 0.5]]},
@@ -344,13 +376,25 @@ def test_thm2_check_small_family(tmp_path, capsys):
     assert report["expansion_rows"] == 20
 
 
-def test_ops_selftest_passes(capsys):
+def test_ops_selftest_passes(capsys, monkeypatch):
+    # the self-test checks the grid engine: its densities reach the shell operators
+    from qcdeform import transforms
+
+    shapes = []
+    real = transforms._mode_operators
+
+    def counted(n_rad, n_ang):
+        shapes.append((n_rad, n_ang))
+        return real(n_rad, n_ang)
+
+    monkeypatch.setattr(transforms, "_mode_operators", counted)
     code, out, _ = run(["ops-selftest"], capsys)
     assert code == 0
     report = json.loads(out)
     assert report["all_pass"] is True
     assert len(report["checks"]) == 5
     assert all(c["pass"] for c in report["checks"])
+    assert shapes
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,10 @@ def test_taylor_coeffs_match_pairings_of_a_neumann_output():
     disk = Disk(2.2 + 0j, 1.1)
     mu = Density.from_terms(disk, [(0.05, 0j, 1), (0.03j, 0j, 2), (0.02, 0j, 3),
                                    (-0.01, 0j, 4)])
-    rho = build_map(mu).rho
-    assert rho.terms is None
+    # mu's samples without its terms: the grid Neumann solve's output
+    qc = build_map(Density(disk, mu.grid, mu.values))
+    rho = qc.rho
+    assert rho.terms is None and qc.n_terms >= 2
     got = rho.taylor_coeffs(0j, 30)
     grid = rho.grid
     want = np.array([-np.sum(grid.weights * rho.values * grid.nodes ** -(m + 1.0)) / np.pi
@@ -326,3 +328,29 @@ def test_inward_shells_of_monomials_are_exact(n_rad, n_ang):
         want = t**p / (p + 2 - k)
         scale = np.max(np.abs(want), axis=1)
         assert np.all(np.max(np.abs(rows @ t**p - want), axis=1) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("disk", [Disk(2.2 + 0j, 1.1), Disk(3.0 + 1.0j, 0.3),
+                                  Disk(-0.5 + 4.0j, 2.5), Disk(22.3 + 0j, 20.0)])
+def test_term_density_closed_form_matches_the_grid_engine(disk):
+    # T and Pi of a term density come from its terms (``_exterior_terms``);
+    # the same samples without the terms go through the mode engine, which
+    # resolves them at 96x512.  Poles of orders 3, 2, 1 off the disk, a
+    # constant with its pole at the center, a conjugated quadratic inside
+    c, R = disk.center, disk.radius
+    terms = [(0.3 + 0.1j, c + 1.7 * R * np.exp(0.4j), 3),
+             (0.02 - 0.05j, c + 1.9 * R * np.exp(2.1j), 2),
+             (0.1j, c + 1.6 * R * np.exp(-2.5j), 1), (0.1, c, 0), (0.05j, c + 0.2 * R, -2)]
+    mu = Density.from_terms(disk, terms, n_rad=96, n_ang=512)
+    grid = Density(disk, mu.grid, mu.values)
+    rng = np.random.default_rng(5)
+    ang = np.exp(2j * np.pi * rng.random(200))
+    inside = c + R * 0.98 * np.sqrt(rng.random(200)) * ang
+    outside = c + R * (1.0 + 2.0 * rng.random(200)) * ang
+    for pts in (inside, outside):
+        want = cauchy_T(grid, pts)
+        assert np.max(np.abs(cauchy_T(mu, pts) - want)) <= 1e-13 * np.max(np.abs(want))
+    want = beurling_Pi(grid, outside)
+    assert np.max(np.abs(beurling_Pi(mu, outside) - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.all(beurling_Pi(mu, inside) == 0.0)
+    assert np.max(np.abs(beurling_Pi(grid, inside))) <= 1e-13 * np.max(np.abs(want))
