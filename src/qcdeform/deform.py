@@ -303,36 +303,28 @@ def _term_moments(disk: Disk, terms, Y: float) -> np.ndarray:
     return a
 
 
-def _composed(problem: DeformationProblem, terms) -> tuple[np.ndarray, tuple[float, float]]:
-    """(c, (tail, r)): the coefficients 0 .. K = n_norm of h o f for the term
-    density with these ``terms``, one FFT of T in closed form
-    (``transforms._exterior_terms``) at the roots of unity of ``_circle``; a
-    certified bound on the norm of what c misses; the radius it used.
+def _pull(disk: Disk, terms, rho) -> np.ndarray:
+    """sum_i |c_i| max |(u - p_i)^-k_i| over |u - c| <= rho, for each rho."""
+    cabs, dist, kk = np.array([(abs(a), abs(p - disk.center), k) for a, p, k in terms]).T
+    return (dist - np.asarray(rho)[..., None]) ** -kk @ cabs
+
+
+def _ladder_maxima(problem: DeformationProblem, terms) -> tuple[np.ndarray, np.ndarray]:
+    """(r, M): the circles |z| = r_i of ``_LADDER``, from the smallest on, on
+    which (T mu) o f is holomorphic inside, and on each a bound M_i on its
+    modulus there.
 
     (T mu) o f is the closed form at x = R / (f - c), holomorphic on |z| <= r
     when f - c winds 0 times about 0 on |z| = r, so |R^2 / (f - c)| is at most
     rho_r = R^2 / min |f - c| there (maximum modulus), and rho_r < |p_i - c|
-    for each pole.  On each such circle of ``_LADDER`` (``_image_distance``;
-    once one fails, all larger do, as rho_r grows with r), Cauchy's estimate
-    bounds its coefficients by M r^-k, with M the sampled max of |T| plus the
+    for each pole.  Once a circle fails, all larger do, as rho_r grows with r.
+    M is the max of |T| over the 256 samples of ``_image_distance`` plus its
     slack times max |dT/df| <= sum_i |c_i| / (|p_i - c| - rho_r)^k_i R^2 /
-    min |f - c|^2.  So those above K carry norm at most
-    M (sum_(k>K) w_k r^-2k)^(1/2), and the N-point FFT aliases the kept ones
-    by at most M r^-N / (1 - r^-N) (sum_(k<=K) w_k r^-2k)^(1/2) (Trefethen &
-    Weideman, SIAM Review 56, 2014).  tail is the least sum over the circles,
-    plus the norm of f's coefficients above K and a rounding allowance.
-    ResolutionError when the smallest circle fails, naming its gap.
+    min |f - c|^2, which covers the peaks between samples.  ResolutionError
+    when the smallest circle fails, naming its gap.
     """
-    disk, K = problem.disk, problem.config.n_norm
-    R, y = disk.radius, problem._circle
-    N = len(y)
-    c = problem.f.truncated(K).coeffs + np.fft.fft(_exterior_terms(disk, terms, y))[: K + 1] / N
-    cabs, dist, kk = np.array([(abs(a), abs(p - disk.center), k) for a, p, k in terms]).T
-    near = float(dist.min())
-
-    def pull(rho):   # sum_i |c_i| max |(u - p_i)^-k_i| over |u - c| <= rho
-        return (dist - np.asarray(rho)[..., None]) ** -kk @ cabs
-
+    disk, R = problem.disk, problem.disk.radius
+    near = min(abs(p - disk.center) for _, p, _ in terms)
     v, low, wind, slack = _image_distance(problem.f, disk.center, _LADDER)
     m = int(np.cumprod((low > 0.0) & (wind == 0) & (R * R < near * low)).sum())
     if m == 0:
@@ -341,9 +333,31 @@ def _composed(problem: DeformationProblem, terms) -> tuple[np.ndarray, tuple[flo
             f"smallest, f - c winds {wind[0]:g} times about 0 and min |f - c| >= {low[0]:.6g}; "
             f"the closed form needs 0 and more than R^2 / min |p_i - c| = {R * R / near:.6g} "
             f"(gap {low[0] - R * R / near:.3g})")
-    r, low, slack = _LADDER[:m], low[:m], slack[:m]
+    low, slack = low[:m], slack[:m]
     M = (np.max(np.abs(_exterior_terms(disk, terms, R / v[:m])), axis=1)
-         + slack * pull(R * R / low) * R * R / low ** 2)
+         + slack * _pull(disk, terms, R * R / low) * R * R / low ** 2)
+    return _LADDER[:m], M
+
+
+def _composed(problem: DeformationProblem, terms) -> tuple[np.ndarray, tuple[float, float]]:
+    """(c, (tail, r)): the coefficients 0 .. K = n_norm of h o f for the term
+    density with these ``terms``, one FFT of T in closed form
+    (``transforms._exterior_terms``) at the roots of unity of ``_circle``; a
+    certified bound on the norm of what c misses; the radius it used.
+
+    On each circle of ``_ladder_maxima``, Cauchy's estimate bounds the
+    coefficients of (T mu) o f by M r^-k.  So those above K carry norm at most
+    M (sum_(k>K) w_k r^-2k)^(1/2), and the N-point FFT aliases the kept ones
+    by at most M r^-N / (1 - r^-N) (sum_(k<=K) w_k r^-2k)^(1/2) (Trefethen &
+    Weideman, SIAM Review 56, 2014).  tail is the least sum over the circles,
+    plus the norm of f's coefficients above K and a rounding allowance.
+    """
+    disk, K = problem.disk, problem.config.n_norm
+    R, y = disk.radius, problem._circle
+    N = len(y)
+    c = problem.f.truncated(K).coeffs + np.fft.fft(_exterior_terms(disk, terms, y))[: K + 1] / N
+    r, M = _ladder_maxima(problem, terms)
+    m = len(r)
     # sum_k w_k r_i^-2k over k = 0 .. L_i, past which r_i^-2k is below e^-80
     log_r = np.log(r)
     L = K + 1 + np.ceil(40.0 / log_r).astype(int)
@@ -360,8 +374,9 @@ def _composed(problem: DeformationProblem, terms) -> tuple[np.ndarray, tuple[flo
     # sec. 3.1, 24.1); by Parseval the kept coefficients' errors have norm at most
     # sqrt(max w_k) times the root mean square of the sample errors
     rho = R * np.abs(y)
-    rounding = np.finfo(float).eps / 2 * (5 * np.max(kk) + 10 + 2 * np.log2(N)) * np.sqrt(
-        np.mean((rho * pull(rho)) ** 2) * np.max(problem.space.weights(K + 1)))
+    k_max = max(k for _, _, k in terms)
+    rounding = np.finfo(float).eps / 2 * (5 * k_max + 10 + 2 * np.log2(N)) * np.sqrt(
+        np.mean((rho * _pull(disk, terms, rho)) ** 2) * np.max(problem.space.weights(K + 1)))
     fa = np.abs(problem.f.coeffs[K + 1:])   # f's own coefficients above K
     t_f = np.sqrt(problem.space.weights(K + 1 + len(fa))[K + 1:] @ fa ** 2)
     return c, (float(bounds[best] + rounding + t_f), float(r[best]))

@@ -9,12 +9,22 @@ the angles take Levenberg-Marquardt steps with Kaufman's (1975) Jacobian.  One
 reduced QR per angle set serves both the strength solve and Kaufman's
 projection; the Jacobian is factored once per accepted step, so each damped
 trial is a small solve on its triangular factor R_J (More 1978).
+
+A cold fit starts from the best one-pole fit over the 64 scan angles
+theta_s = 2 pi s / 64.  The samples are 17 rings of 128 equispaced angles
+2 pi j / 128, so theta_s is sample angle 2s, and the scan column
+a_s = w / (z - e^(i theta_s))^2 is e^(-2 i theta_s) times a_0 shifted 2s samples
+along each ring.  All 64 correlations a_s^H wb are then one circular
+cross-correlation per ring (one FFT of wb's rings against the cached spectrum
+of a_0's), and ||a_s|| = ||a_0||; those screen the angles, and direct residual
+norms decide among the few that pass (``_scan_start``).
 Reported errors are growth-norm sups from :func:`qcdeform.spaces.bp_norm`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,9 +35,15 @@ __all__ = ["DoublePoleRational", "FitResult", "fit_double_poles", "error_curve"]
 # Exact targets converge in 6-25 steps (19 for poles 0.02 rad apart); fits
 # with a large residual converge linearly, and this caps their cost.
 _MAX_STEPS = 40
-# Cold-start scan angles per block: all 64 at once raise the peak memory of a
-# fit several times over for no gain in speed.
-_SCAN_BLOCK = 8
+# the sample rings' radii, 8 inside and 9 approaching the circle, and the
+# equispaced angles 2 pi j / _RING on each
+_RADII = np.concatenate([np.linspace(0.15, 0.9, 8), 1.0 - 0.5 ** np.arange(2, 11)])
+_RING = 128
+# the cold-start scan: every second sample angle of a ring
+_SCAN = 2.0 * np.pi * np.arange(_RING // 2) / (_RING // 2)
+# the scan screen's rounding from its FFTs and the direct norms, in units of
+# eps ||wb||^2 (measured at most 30 over random pole sums at p = 2 and 4)
+_SCREEN_ROUNDING = 1e3
 
 
 @dataclass(frozen=True)
@@ -59,12 +75,29 @@ class FitResult:
     n_rounds: int       # Levenberg-Marquardt steps tried, over both fits of a real cold start
 
 
+@lru_cache(maxsize=8)
 def _sample_set(p: float) -> tuple[np.ndarray, np.ndarray]:
-    radii = np.concatenate([np.linspace(0.15, 0.9, 8), 1.0 - 0.5 ** np.arange(2, 11)])
-    ang = np.exp(2j * np.pi * np.arange(128) / 128)
-    z = np.outer(radii, ang).ravel()
+    """Cached: the sample points z, ring by ring, and their weights
+    w = (1 - |z|^2)^(p + 1), read-only and shared by every fit with this p."""
+    ang = np.exp(2j * np.pi * np.arange(_RING) / _RING)
+    z = np.outer(_RADII, ang).ravel()
     w = (1.0 - np.abs(z) ** 2) ** (p + 1.0)
+    for a in (z, w):
+        a.setflags(write=False)
     return z, w
+
+
+@lru_cache(maxsize=8)
+def _scan_screen(p: float) -> tuple[np.ndarray, float, float]:
+    """Cached: the conjugate DFT of each ring of the scan column a_0 = w / (z - 1)^2
+    (one row per ring, read-only), ||a_0||^2, and the screen's window in units
+    of eps ||wb||^2 (``_scan_start``)."""
+    z, w = _sample_set(p)
+    a0 = w / (z - 1.0) ** 2
+    spectrum = np.conj(np.fft.fft(a0.reshape(len(_RADII), _RING), axis=1))
+    spectrum.setflags(write=False)
+    kappa = np.linalg.norm(a0 / (z - 1.0)) / np.linalg.norm(a0)
+    return spectrum, float(np.vdot(a0, a0).real), 2.0 * (_SCREEN_ROUNDING + 16.0 * kappa)
 
 
 def _pole_columns(z: np.ndarray, w: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -101,17 +134,38 @@ def _r_solve(R: np.ndarray, y: np.ndarray, rows: int) -> np.ndarray:
     return np.linalg.solve(R, y)
 
 
-def _scan_start(wb: np.ndarray, z: np.ndarray, w: np.ndarray) -> float:
-    """The angle on a 64-point scan whose one-pole complex fit leaves the
-    smallest residual, with d = a^H wb / a^H a in closed form.  Residual norms
-    are taken directly: ||wb||^2 - |a^H wb|^2 / ||a||^2 would cancel digits."""
-    scan = 2.0 * np.pi * np.arange(64) / 64
-    norms = np.empty(len(scan))
-    for i in range(0, len(scan), _SCAN_BLOCK):
-        A = _pole_columns(z, w, scan[i:i + _SCAN_BLOCK])
-        d = (A.conj().T @ wb) / np.linalg.norm(A, axis=0) ** 2
-        norms[i:i + _SCAN_BLOCK] = np.linalg.norm(A * d - wb[:, None], axis=0)
-    return float(scan[int(np.argmin(norms))])
+def _scan_start(wb: np.ndarray, p: float) -> float:
+    """The angle on the 64-point scan _SCAN whose one-pole complex fit, with
+    d = a^H wb / a^H a in closed form, leaves the smallest residual norm; the
+    lowest angle on a tie.
+
+    Scan column a_s is e^(-2 i theta_s) times a_0 shifted 2s samples along each
+    ring (module docstring), so a_s^H wb = e^(2 i theta_s) X_2s with X the
+    circular cross-correlation of a_0 and wb summed over the rings, one inverse
+    FFT of the ring spectra's products, and the squared residual norm is
+    v_s = ||wb||^2 - |X_2s|^2 / ||a_0||^2.  That formula cancels digits, so it
+    only rules angles out: v_s misses the directly computed squared norm by
+    the FFTs' and the direct norm's rounding (_SCREEN_ROUNDING) plus the
+    rotation's, which holds for the rounded samples only to about
+    4 eps |z| / |z - e^(i theta_s)| in each entry, or 16 kappa eps ||wb||^2
+    with kappa = ||a_0 / (z - 1)|| / ||a_0||.  Every angle whose v_s lies
+    within twice their sum, times eps ||wb||^2, of min v passes, and the
+    residual norms ||a_s d_s - wb|| of those, taken directly, decide.  NaN
+    passes, so a non-finite target picks the first angle.
+    """
+    spectrum, a0_norm2, window = _scan_screen(p)
+    corr = np.fft.ifft(np.sum(spectrum * np.fft.fft(wb.reshape(spectrum.shape), axis=1), axis=0))
+    wb_norm2 = np.vdot(wb, wb).real
+    v = wb_norm2 - np.abs(corr[::2]) ** 2 / a0_norm2
+    passed = np.flatnonzero(~(v > np.min(v) + window * np.finfo(float).eps * wb_norm2))
+    if len(passed) == 1:
+        return float(_SCAN[passed[0]])
+    z, w = _sample_set(p)
+    norms = []
+    for theta in _SCAN[passed]:
+        a = _pole_columns(z, w, np.array([theta]))[:, 0]
+        norms.append(np.linalg.norm(a * (np.vdot(a, wb) / np.linalg.norm(a) ** 2) - wb))
+    return float(_SCAN[passed[int(np.argmin(norms))]])
 
 
 def fit_double_poles(target, n_poles: int, p: float = 2.0,
@@ -132,7 +186,7 @@ def fit_double_poles(target, n_poles: int, p: float = 2.0,
 
     steps = 0
     if init_angles is None:
-        angles = np.array([_scan_start(wb, z, w)])
+        angles = np.array([_scan_start(wb, p)])
         while len(angles) < n_poles:
             d = _strength_solve(wb, z, w, angles, False)[0]
             angles = np.append(angles, _peak_angle(target, DoublePoleRational(angles, d), p))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qcdeform import ratfit
 from qcdeform.ratfit import (DoublePoleRational, _sample_set, _scan_start, _strength_solve,
                              error_curve, fit_double_poles)
 
@@ -67,24 +68,72 @@ def test_qr_strengths_match_lstsq_reference(real_strengths):
             assert not np.any(d.imag)
 
 
+_RNG = np.random.default_rng(5)
+
+
+# Koebe's S is symmetric under z -> -z, so angles 0 and pi tie to rounding
+# and both pass the screen, as do the four angles of the four-fold target,
+# where the screen alone would pick another than the direct norms; a pole on
+# a scan angle is where the screen's formula cancels most; the polynomial
+# has no pole to find
 @pytest.mark.parametrize("target", [
     _koebe_s,
     DoublePoleRational((0.6, 2.9), (1.2 - 0.3j, 0.8 + 0.5j)),
     DoublePoleRational((5.79, 0.99, 2.78), (-0.63 + 0.51j, -0.99 - 0.21j, 0.42 + 0.64j)),
     DoublePoleRational((3.3,), (0.2 + 1.0j,)),
+    DoublePoleRational((2.0 * np.pi * 23 / 64,), (0.7 - 0.4j,)),
+    *[DoublePoleRational(_RNG.uniform(0.0, 2.0 * np.pi, 5),
+                         _RNG.standard_normal(5) + 1j * _RNG.standard_normal(5)) for _ in range(3)],
+    lambda z: np.polynomial.polynomial.polyval(z, [0.3, -1.0 + 0.5j, 2.0, 0.0, 0.7j, -0.4]),
+    lambda z: -6.0 / (1.0 - (z * np.exp(-2j * np.pi * 6 / 64)) ** 4) ** 2,
 ])
-def test_blocked_scan_picks_the_one_angle_at_a_time_minimum(target):
+def test_scan_picks_the_one_angle_at_a_time_minimum(target, monkeypatch):
     z, w = _sample_set(2.0)
     wb = w * target(z)
     scan = 2.0 * np.pi * np.arange(64) / 64
-    norms = []
+    norms, direct = [], []
     for t in scan:
         a = w / (z - np.exp(1j * t)) ** 2
         d, *_ = np.linalg.lstsq(a[:, None], wb, rcond=None)
         norms.append(np.linalg.norm(a * d[0] - wb))
-    # Koebe's S is symmetric under z -> -z, so angles 0 and pi tie to rounding
-    picked = int(np.flatnonzero(scan == _scan_start(wb, z, w))[0])
+        direct.append(np.linalg.norm(a * (np.vdot(a, wb) / np.linalg.norm(a) ** 2) - wb))
+    _scan_start(wb, 2.0)  # fills the caches
+    formed = []
+    columns = ratfit._pole_columns
+
+    def counted(z, w, angles):
+        formed.append(len(angles))
+        return columns(z, w, angles)
+
+    monkeypatch.setattr(ratfit, "_pole_columns", counted)
+    picked = _scan_start(wb, 2.0)
+    # the screen keeps the full direct scan's argmin, bit for bit, and forms
+    # direct columns only for the few angles it cannot rule out
+    assert picked == scan[int(np.argmin(direct))]
+    assert sum(formed) <= 4
+    picked = int(np.flatnonzero(scan == picked)[0])
     assert norms[picked] <= (1.0 + 1e-12) * min(norms)
+
+
+@pytest.mark.parametrize("p", [0.0, 2.0])
+def test_scan_screen_misses_the_direct_norms_by_under_half_its_window(p):
+    # the window is twice the screen's estimated rounding; at p = 0 the
+    # rotation's share (16 kappa, kappa = 916) carries it
+    z, w = _sample_set(p)
+    spectrum, a0_norm2, window = ratfit._scan_screen(p)
+    scan = 2.0 * np.pi * np.arange(64) / 64
+    rng = np.random.default_rng(9)
+    for _ in range(8):
+        target = DoublePoleRational(rng.uniform(0.0, 2.0 * np.pi, 3),
+                                    rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        wb = w * target(z)
+        wb_norm2 = np.vdot(wb, wb).real
+        corr = np.fft.ifft(np.sum(spectrum * np.fft.fft(wb.reshape(spectrum.shape), axis=1), axis=0))
+        v = wb_norm2 - np.abs(corr[::2]) ** 2 / a0_norm2
+        for s, t in enumerate(scan):
+            a = w / (z - np.exp(1j * t)) ** 2
+            direct = np.linalg.norm(a * (np.vdot(a, wb) / np.linalg.norm(a) ** 2) - wb)
+            assert abs(v[s] - direct ** 2) <= window / 2 * np.finfo(float).eps * wb_norm2
 
 
 @pytest.mark.parametrize("fit", [
@@ -92,8 +141,8 @@ def test_blocked_scan_picks_the_one_angle_at_a_time_minimum(target):
     lambda: error_curve(_koebe_s, 3),
 ])
 def test_fit_memory_peak_stays_small(fit):
-    # the cold-start scan runs in blocks; one pass over all 64 angles read
-    # a 6.9 MB peak here against about 1 MB
+    # the cold-start scan forms no 64-column block; one pass over all 64
+    # angles at once read a 6.9 MB peak here against about 1 MB
     fit()
     tracemalloc.start()
     try:

@@ -10,7 +10,6 @@ import os
 import re
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -453,7 +452,9 @@ def test_parser_is_reused_across_calls_in_one_process(tmp_path, capsys):
 
 
 def test_console_script_resolves_to_cli_main():
-    # the installed qcdeform command runs the target named in pyproject.toml
+    # the installed qcdeform command runs the target named in pyproject.toml;
+    # tomllib is in the standard library from Python 3.11
+    tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts == {"qcdeform": "qcdeform.cli:main"}

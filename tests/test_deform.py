@@ -330,9 +330,17 @@ def _exact_composed(problem: DeformationProblem, terms, K: int) -> np.ndarray:
     """Coefficients 0 .. K of (T mu) o f for the term density mu: the Taylor
     coefficients L_m of T mu at c0 (multipole-to-local matrix) of mu's
     closed-form moments, kept until the rest is below rounding at |y| = 1,
-    times the powers (f - c0)^m, built by convolution.  No aliasing."""
+    times the powers (f - c0)^m, built by convolution.  No aliasing.
+
+    The powers' coefficients grow like (sum_(k>=1) |f_k|)^m while T's Taylor
+    coefficients shrink like (|c - c0| - R)^-m, so the sum carries no digits
+    once the first reaches the second; that is refused."""
     f = problem.f.truncated(K).coeffs.copy()
     f[0] = 0.0
+    reach, radius = np.sum(np.abs(f)), abs(problem.disk.center - problem.c0) - problem.disk.radius
+    if reach >= radius:
+        raise ValueError(f"sum_(k>=1) |f_k| = {reach:.6g} reaches |c - c0| - R = {radius:.6g}: "
+                         "the convolution powers carry no digits")
     P = np.zeros((K + 1, K + 1), dtype=complex)
     P[0, 0] = 1.0
     for m in range(1, K + 1):
@@ -340,6 +348,16 @@ def _exact_composed(problem: DeformationProblem, terms, K: int) -> np.ndarray:
     a = deform._term_moments(problem.disk, terms, 1.0)
     M = local_matrix(problem.disk.center, problem.disk.radius, problem.c0, K, 2 * len(a))
     return P @ (M[:, : len(a)] @ a)
+
+
+def test_exact_composition_refuses_an_f_that_reaches_the_disk_by_its_coefficients():
+    # sum_k |f_k| = 2 - 2^-39 against |c - c0| - R = 1.1: the powers carry
+    # coefficients up to 2^m while T's shrink only like 1.1^-m
+    coeffs = np.concatenate([[0.0], 2.0 ** (1 - np.arange(1, 41))])
+    prob = DeformationProblem(hardy(), HoloSeries(coeffs, radius=np.inf),
+                              Disk(2.2 * np.exp(2j), 1.1), 1, 3, (1e-3, 5e-4), 0.0)
+    with pytest.raises(ValueError, match=r"= 2 reaches \|c - c0\| - R = 1.1:"):
+        _exact_composed(prob, [(1.0, prob.c0, 3)], 64)
 
 
 @pytest.mark.parametrize("disk", [Disk(2.2 + 0j, 1.1), Disk(6.3 + 0j, 5.0),
@@ -413,6 +431,29 @@ def test_cancelling_f_on_its_coefficient_sum_needs_a_larger_n_norm():
     assert bound > RunConfig().norm_tol
     res = solve_deformation(problem(1024))
     assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-6, 5e-7]))) <= 1e-12
+
+
+def test_circle_bound_covers_the_peak_between_samples(monkeypatch):
+    # f = z + (1/800) sum_(k=1)^400 (z e^-i alpha)^k spikes toward the disk in
+    # a peak about 1/400 wide at arg z = alpha, midway between two of the 256
+    # samples: on |z| = 1.001 they miss the peak of |T o f| by 19 %, which the
+    # slack term of M must make up
+    alpha = 2.0 * np.pi * 37.5 / 256
+    coeffs = np.zeros(401, dtype=complex)
+    coeffs[1] = 1.0
+    coeffs[1:] += np.exp(-1j * alpha * np.arange(1, 401)) / 800
+    f = HoloSeries(coeffs, radius=np.inf)
+    disk = Disk(4.0 * np.exp(1j * alpha), 1.0)
+    prob = DeformationProblem(hardy(), f, disk, 1, 3, (1e-3, 5e-4), 0.0)
+    terms = [(1.0, prob.c0, 3)]
+    monkeypatch.setattr(deform, "_LADDER", np.array([1.001]))
+    r, M = deform._ladder_maxima(prob, terms)
+    z = 1.001 * np.exp(2j * np.pi * np.arange(1 << 16) / (1 << 16))
+    T = np.abs(transforms._exterior_terms(disk, terms, 1.0 / (f.evaluate(z) - disk.center)))
+    dense, sampled = np.max(T), np.max(T[::256])
+    assert sampled < 0.85 * dense
+    assert r.tolist() == [1.001] and M[0] >= dense
+    assert deform._composed(prob, terms)[1][1] == 1.001
 
 
 def test_validate_refuses_an_image_that_meets_the_disk_between_samples():

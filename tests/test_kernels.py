@@ -84,3 +84,28 @@ def test_empty_target_set_gives_an_empty_result():
     mu = _density(Disk(2.2, 1.1), "grid", 24, 64)
     out = kernels.cauchy_sum(*_rings(mu, mu.grid.weights), np.empty(0, dtype=np.complex128))
     assert out.shape == (0,) and out.dtype == np.complex128
+
+
+def _clongdouble_horner(coeffs, z):
+    coeffs, z = np.asarray(coeffs, dtype=np.clongdouble), np.asarray(z, dtype=np.clongdouble)
+    acc = np.full(z.shape, coeffs[-1])
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = acc * z + coeffs[k]
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 16, 17, 150, 600])
+@pytest.mark.parametrize("r_max, decay", [(0.95, 1.0), (1.5, 0.6)])
+@pytest.mark.parametrize("shape", [(), (7, 9)], ids=["0-d", "2-D"])
+def test_horner_many_matches_an_extended_precision_horner(n, r_max, decay, shape):
+    # 16 coefficients or fewer take the plain loop, more are summed in blocks
+    # of 16 from one power table; both stay within a few ulps of
+    # sum |c_k| |z|^k, the condition of the sum
+    rng = np.random.default_rng(n)
+    c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay ** np.arange(n)
+    z = r_max * np.sqrt(rng.random(shape)) * np.exp(2j * np.pi * rng.random(shape))
+    got = kernels.horner_many(c, z)
+    assert got.shape == np.shape(z) and got.dtype == np.complex128
+    scale = _clongdouble_horner(np.abs(c), np.abs(z)).real
+    err = np.abs(got - _clongdouble_horner(c, z)) / scale
+    assert np.max(err) <= 2e-15
