@@ -17,7 +17,9 @@ class RunConfig:
     # truncation degree of the deformation solve: its residuals and norm use
     # the Taylor coefficients 0 .. n_norm of h o f, with no further cap
     n_norm: int = 256
-    # disk quadrature: radial Gauss-Legendre x uniform angular
+    # quadrature of grid densities: radial Gauss-Legendre x uniform angular.
+    # n_ang also sets terms_sup's 4 n_ang circle samples.  Neither changes
+    # deform's coefficients or its cross-check
     n_rad: int = 48
     n_ang: int = 128
     # largest coefficient and norm residuals the deformation solve accepts;

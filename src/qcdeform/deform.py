@@ -22,12 +22,11 @@ Van Loan, Matrix Computations, sec. 6.2), whose root with the smaller sup of
 mu is taken.  The same closed form on a circle |z| = r > 1 bounds, by
 Cauchy's estimate, the norm of what the kept coefficients miss
 (``_composed``).  mu0's Gram matrix comes from the closed-form exterior
-moments (``_term_moments``).  The built map is mu's closed form; mu's
-grid serves only one sampled recovery of it, by the grid's own quadrature
-sum far from the disk (``kernels.cauchy_sum``), which cross-checks the
-closed form and shows the grid's truncation to angular modes up to n_ang/2.
-Coefficients 0 .. j are not held: mu0 moves coeff_0 by tau to first order
-(``drift_below``).
+moments (``_term_moments``).  The built map is mu's closed form, and no grid is
+read.  One sampled recovery of h o f cross-checks it with T mu from mu's
+values on the circle alone, the Cauchy-Pompeiu boundary integral by the
+trapezoid rule (``_boundary_T``).  Coefficients 0 .. j are not held: mu0
+moves coeff_0 by tau to first order (``drift_below``).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .errors import (
 )
 from .series import HoloSeries, coeffs_from_circle_samples
 from .spaces import SpaceSpec, hilbert_norm
-from .transforms import Density, Disk, _exterior_terms, cauchy_T, terms_sup
+from .transforms import Density, Disk, _eval_terms, _exterior_terms, terms_sup
 
 __all__ = [
     "DeformationProblem",
@@ -63,9 +62,6 @@ _COND_LIMIT = 1e12
 # the one cross-check of a solve samples h o f at this many points of this circle
 _CHECK_RADIUS = 0.9
 _CHECK_SAMPLES = 256
-# samples this many radii or more from the disk center take the grid's own
-# quadrature sum (``kernels.cauchy_sum``); closer ones go through ``cauchy_T``
-_NEAR_FACTOR = 1.25
 # the tail bound's circles |z| = 1 + 2^((i - 12) / 2), i = 0 .. 15
 _LADDER = 1.0 + 2.0 ** ((np.arange(16) - 12) / 2)
 
@@ -272,6 +268,14 @@ class DeformationResult:
         }
 
 
+def _decay_length(t: float, k: int) -> float:
+    """The j past which (1 + j)^(k-1) t^j, 0 < t < 1, stays below eps / 4."""
+    j, rate = 0.0, -np.log(t)
+    for _ in range(30):
+        j = ((k - 1) * np.log1p(j) - np.log(np.finfo(float).eps / 4)) / rate
+    return j
+
+
 def _term_moments(disk: Disk, terms, Y: float) -> np.ndarray:
     """The exterior moments a_0 .. a_(J-1) of the term density
     sum_i c_i conj((zeta - p_i)^-k_i) in closed form,
@@ -283,17 +287,14 @@ def _term_moments(disk: Disk, terms, Y: float) -> np.ndarray:
     the ratio of successive g_j holds for k <= 0 too, reaching 0 past j = -k.)
     For k > 0 a term's share of |a_j| Y^(j+1) is its first times
     C(j+k-1, j) t^j <= (j+1)^(k-1) t^j, t = Y R / |p - c| < 1; J is the least
-    index past which that stays below eps / 4 for every term (by fixed-point
-    iteration on its logarithm from 0), at most 2^16.
+    index past which that stays below eps / 4 for every term
+    (``_decay_length``), at most 2^16.
     """
     c, R = disk.center, disk.radius
     J = max([1] + [1 - k for _, _, k in terms])
     for _, pole, k in terms:
         if k > 0:
-            j, rate = 0.0, -np.log(Y * R / abs(pole - c))
-            for _ in range(30):
-                j = ((k - 1) * np.log1p(j) - np.log(np.finfo(float).eps / 4)) / rate
-            J = max(J, min(int(j) + 2, 1 << 16))
+            J = max(J, min(int(_decay_length(Y * R / abs(pole - c), k)) + 2, 1 << 16))
     jj = np.arange(1.0, J)
     a = np.zeros(J, dtype=np.complex128)
     for coeff, pole, k in terms:
@@ -382,35 +383,49 @@ def _composed(problem: DeformationProblem, terms) -> tuple[np.ndarray, tuple[flo
     return c, (float(bounds[best] + rounding + t_f), float(r[best]))
 
 
-def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> float:
-    """Largest gap between c and the coefficients recovered by FFT from h o f
-    sampled at 256 points of |z| = 0.9, over degrees k up to min(n_norm, 64),
-    each scaled by 0.9^k.
+def _boundary_T(disk: Disk, terms, w: np.ndarray) -> tuple[np.ndarray, int]:
+    """(T mu at the points w off the closed disk, M) for the term density mu,
+    from mu's values at M points zeta_k = c + R e_k of its circle alone.
 
-    The recovery divides the DFT of the samples by 0.9^k, so a sample
-    error e becomes up to e / 0.9^64 = 850 e at k = 64.  The scaled gap is
-    the gap between the two DFTs: how far the two computations of h o f
-    disagree on the circle.  c comes from mu's closed form; the samples
-    come from its grid: 1.25 radii or more from the disk's center,
-    the grid's quadrature sum itself, evaluated exactly from the grid
-    measure's power moments (one FFT per ring, every index with its alias,
-    ``kernels.cauchy_sum``); closer in, ``cauchy_T`` of the grid's angular
-    modes.  This is the one place a solve compares the grid with the closed
-    form, so the grid's truncation to angular modes up to n_ang/2 shows here.
+    g = conj(mu) is holomorphic on the closed disk: one FFT gives g_n R^n, G
+    with G' = g has G_(n+1) R^(n+1) = g_n R^n R / (n + 1), and F = conj(G) has
+    dbar F = mu, so off the disk T mu = -(1/M) sum_k R e_k F_k / (zeta_k - w),
+    the Cauchy-Pompeiu integral by the trapezoid rule (Astala, Iwaniec &
+    Martin 2009, ch. 4): ``kernels.cauchy_sum`` on one ring.  Both sums alias
+    at about t^M M^(k_max - 1), t = max(R / |p_i - c|, R / min |w - c|)
+    (Trefethen & Weideman, SIAM Review 56, 2014): M is the least power of two
+    >= 64 putting it below eps / 4 (``_decay_length``); ResolutionError past 2^16.
+    """
+    c, R = disk.center, disk.radius
+    t = float(np.max([R / np.min(np.abs(w - c))] + [R / abs(p - c) for _, p, k in terms if k > 0]))
+    j = _decay_length(t, max([1] + [k for _, _, k in terms])) if t < 1.0 else np.inf
+    if not j <= 1 << 16:
+        raise ResolutionError(
+            f"sampled cross-check: the boundary ring needs more than 65536 points at "
+            f"t = {t:.6g}, the larger of max R / |p_i - c| and R / min |w - c|")
+    M = max(64, 1 << int(np.ceil(np.log2(j))))
+    e = np.exp(2j * np.pi * np.arange(M) / M)
+    g = np.fft.fft(np.conj(_eval_terms(terms, c + R * e))) / M    # g_n R^n
+    G = np.concatenate([[0.0], g[:-1] * R / np.arange(1, M)])    # G_n R^n, G(c) = 0
+    F = np.fft.fft(np.conj(G))                                    # conj(G) at c + R e_k
+    return -kernels.cauchy_sum((c + R * e)[None], (R * e / M)[None], F[None], w), M
+
+
+def _sampled_check(problem: DeformationProblem, qc: QcMap, c: np.ndarray) -> tuple[float, int]:
+    """(gap, M): the largest gap between c, from mu's closed form, and the
+    coefficients recovered by FFT from h o f at 256 points of |z| = 0.9, with
+    T mu from mu's circle values on an M-point ring (``_boundary_T``), which
+    shares no formula with it; ``validate`` keeps the samples off the disk.  The
+    gap of degree k <= min(n_norm, 64) is scaled by 0.9^k: that is the gap of
+    the two DFTs, not a sample error e grown to e / 0.9^64 = 850 e.
     """
     n_rec = min(problem.config.n_norm, _CHECK_SAMPLES // 4)
     wv = problem.f.evaluate(_CHECK_RADIUS * np.exp(2j * np.pi * np.arange(_CHECK_SAMPLES)
                                                    / _CHECK_SAMPLES))
-    # a grid-only view of rho, so that cauchy_T sums the grid, not rho's terms
-    rho, disk = Density(qc.rho.disk, qc.rho.grid, qc.rho.values), problem.disk
-    far = np.abs(wv - disk.center) >= _NEAR_FACTOR * disk.radius
-    T = np.empty_like(wv)
-    rings = map(rho.grid.values_matrix, (rho.grid.nodes, rho.grid.weights, rho.values))
-    T[far] = -kernels.cauchy_sum(*rings, wv[far]) / np.pi
-    T[~far] = cauchy_T(rho, wv[~far])
+    T, M = _boundary_T(problem.disk, qc.rho.terms, wv)
     rec = coeffs_from_circle_samples(wv + T, _CHECK_RADIUS, n_rec, alias_tol=1e-5)
     gap = np.abs(rec.series.coeffs[: n_rec + 1] - c[: n_rec + 1])
-    return float(np.max(gap * _CHECK_RADIUS ** np.arange(n_rec + 1)))
+    return float(np.max(gap * _CHECK_RADIUS ** np.arange(n_rec + 1))), M
 
 
 def solve_deformation(problem: DeformationProblem) -> DeformationResult:
@@ -425,7 +440,7 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
     root's sup is at least kappa_max; ResolutionError when no circle |z| = r > 1
     keeps (T mu) o f holomorphic (``_composed``) or the tail bound exceeds
     norm_tol, when the built map misses the targets by more than coeff_tol or
-    norm_tol, or when the cross-check disagrees by more than coeff_tol.
+    norm_tol, or when the cross-check exceeds coeff_tol or 2^16 ring points.
     """
     problem.validate()
     cfg = problem.config
@@ -492,13 +507,12 @@ def solve_deformation(problem: DeformationProblem) -> DeformationResult:
             f"the built map misses the shifts by {np.max(np.abs(r[:-1])):.3e} (coeff_tol "
             f"{cfg.coeff_tol:.1e}) and the norm by {abs(r[-1]):.3e} (norm_tol "
             f"{cfg.norm_tol:.1e})")
-    check = _sampled_check(problem, qc, c)
+    check, ring = _sampled_check(problem, qc, c)
     if not check <= cfg.coeff_tol:
         raise ResolutionError(
-            f"sampled cross-check on the {cfg.n_rad}x{cfg.n_ang} grid differs from the "
+            f"sampled cross-check from the {ring}-point boundary ring differs from the "
             f"coefficient-space residual by {check:.3e}, above coeff_tol {cfg.coeff_tol:.1e} "
-            f"(tail bound {tail:.3e}); the grid resolves angular modes up to n_ang/2 only "
-            f"(raise n_ang)")
+            f"(tail bound {tail:.3e})")
 
     drift = float(np.max(np.abs(c[: problem.j + 1] - f[: problem.j + 1])))
     eps = max(max((abs(s) for s in problem.d), default=0.0), abs(problem.a))

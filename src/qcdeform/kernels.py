@@ -1,39 +1,29 @@
-"""Hot numerical kernels, in plain numpy.
+"""Hot numerical kernels, in plain numpy, in one module so that callers and
+profilers (perfbench) find them by these module attributes.
 
-Polynomial evaluation at many points (``horner_many``) and the Cauchy
-quadrature sum over the nodes of a polar grid (``cauchy_sum``).  They live in
-one module so that callers and profilers can find them by name; perfbench
-traces both by these module attributes.
+``horner_many`` evaluates a polynomial at many points: Horner's rule as it
+stands on 16 coefficients or fewer, such as a map's f.  Longer arrays, such
+as the hundreds of ring moments of ``cauchy_sum``, are cut into blocks of
+16: a power table z^0 .. z^15 per point, built by ``cumprod``, gives every
+block's sum in one matrix product, and Horner's rule runs over the blocks in
+z^16.  Either way the error stays within a few ulps of sum |c_k| |z|^k.
 
-``horner_many`` runs Horner's rule as it stands on 16 coefficients or fewer,
-such as a map's f.  Longer arrays, the 150-600 ring moments of ``cauchy_sum``
-and the 65 of the near multipole, are cut into blocks of 16: a power table
-z^0 .. z^15 per point, built by ``cumprod``, gives every block's sum in one
-matrix product, and Horner's rule then runs over the blocks in z^16, so the
-Python loop takes one step per block.  Either way the error stays within a
-few ulps of sum |c_k| |z|^k.
-
-Both take plain complex128/float64 arrays.  The quadrature sum omits the
--1/pi prefactor of the transform.  Its one caller is the sampled cross-check
-of ``deform`` (``deform._sampled_check``), which applies the prefactor and
-calls it, by module attribute, only at samples 1.25 radii or more from the
-support's center; the transforms themselves use the multipole series there.
-
-``cauchy_sum`` is the grid's own discrete sum, S(w) = sum_n W_n rho_n / (z_n - w),
-computed without forming the node-target pairs.  The grid's rings are
-equispaced: ring m has the nodes c + b_m omega^k, omega = e^(2 pi i / n), so
-the power moments of the grid measure are one FFT per ring (the trapezoid
-rule's identity; Trefethen & Weideman, SIAM Review 56, 2014),
+``cauchy_sum`` is S(w) = sum_n W_n rho_n / (z_n - w) over nodes on concentric
+equispaced rings, computed without forming the node-target pairs.  Its one
+caller is ``deform._boundary_T``: one ring of M circle nodes with the
+trapezoid weights R e_k / M.  Ring m has the nodes c + b_m omega^k,
+omega = e^(2 pi i / n), so the power moments of the node measure are one FFT
+per ring (the trapezoid rule's identity; Trefethen & Weideman, SIAM Review
+56, 2014),
 
     M_q = sum_n W_n rho_n ((z_n - c) / s)^q = sum_m (b_m / s)^q n ifft(W_m rho_m)[q mod n],
 
-every FFT index read with its alias, scaled by the outermost ring's radius
-s = max |b_m| so that no power overflows or underflows; the powers
-(b_m / s)^q are one ``cumprod`` per ring.  Off the outermost
-ring, S(w) = -x sum_q M_q (s x)^q with x = 1 / (w - c) (Greengard & Rokhlin,
+every FFT index read with its alias, in units of the outermost ring's radius
+s = max |b_m| so that no power overflows or underflows.  Off that ring,
+S(w) = -x sum_q M_q (s x)^q with x = 1 / (w - c) (Greengard & Rokhlin,
 J. Comput. Phys. 73, 1987), cut after the Q moments whose geometric rest
 r^Q / (1 - r), r = s |x|, is below a quarter of the unit roundoff relative
-to sum |W rho| |x|.  The work is O(n_rad n_ang + Q targets).
+to sum |W rho| |x|.  The work is O(nodes + Q targets).
 """
 
 from __future__ import annotations
@@ -74,7 +64,7 @@ def horner_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def cauchy_sum(nodes, weights, rho, targets):
     """sum_n weights_n rho_n / (nodes_n - w) at each target w, from the ring
-    moments (module docstring).  nodes, weights and rho are (n_rad, n_ang)
+    moments (module docstring).  nodes, weights and rho are (rings, n)
     matrices, one ring per row, such as ``PolarGrid.values_matrix`` gives.
 
     ValueError when the nodes are not concentric equispaced rings, or when a

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qcdeform import deform, kernels, transforms
+from qcdeform import beltrami, deform, kernels, transforms
 from qcdeform.config import RunConfig
 from qcdeform.deform import (
     DeformationProblem,
@@ -142,33 +142,30 @@ def _nonlinear_problem(space, config=RunConfig(), a=1e-4, disk=DISK,
 
 @pytest.mark.parametrize("space", [hardy, bergman, dirichlet], ids=lambda s: s.__name__)
 def test_coefficient_residual_agrees_with_sampled_recovery(space, monkeypatch):
-    # the solver reads the coefficients of h o f from the density's moments;
-    # the one sampled recovery per solve is the independent check: each of its
-    # samples goes once through cauchy_T or, 1.25 radii out or more, through
-    # the direct grid sum
+    # the solver reads the coefficients of h o f from mu's closed form; the
+    # one sampled recovery per solve is the independent check: all of its
+    # samples go through one boundary-ring sum of mu's circle values, and
+    # none through cauchy_T
     seen = []
-    real_T, real_sum = transforms.cauchy_T, kernels.cauchy_sum
-
-    def counted_T(rho, w):
-        seen.append(("T", np.asarray(w).copy()))
-        return real_T(rho, w)
+    real_sum = kernels.cauchy_sum
 
     def counted_sum(nodes, weights, rho, targets):
-        seen.append(("sum", np.asarray(targets).copy()))
+        seen.append((np.shape(nodes), np.asarray(targets).copy()))
         return real_sum(nodes, weights, rho, targets)
 
-    monkeypatch.setattr(transforms, "cauchy_T", counted_T)
-    monkeypatch.setattr(deform, "cauchy_T", counted_T)
+    def no_T(rho, w):
+        raise AssertionError("the solve evaluated cauchy_T")
+
+    assert not hasattr(deform, "cauchy_T")
+    monkeypatch.setattr(transforms, "cauchy_T", no_T)
+    monkeypatch.setattr(beltrami, "cauchy_T", no_T)
     monkeypatch.setattr(kernels, "cauchy_sum", counted_sum)
     prob = _nonlinear_problem(space())
     res = solve_deformation(prob)
-    points = np.concatenate([w for _, w in seen])
-    assert len(points) == deform._CHECK_SAMPLES
-    assert len(np.unique(points)) == deform._CHECK_SAMPLES
-    assert any(kind == "sum" for kind, _ in seen)
-    for kind, w in seen:
-        far = np.abs(w - prob.disk.center) >= 1.25 * prob.disk.radius
-        assert far.all() if kind == "sum" else not far.any()
+    [((rings, M), points)] = seen
+    assert rings == 1 and M >= 64 and M & (M - 1) == 0
+    assert len(np.unique(points)) == len(points) == deform._CHECK_SAMPLES
+    assert np.all(np.abs(points - prob.disk.center) > 1.05 * prob.disk.radius)
     assert res.sampled_check <= 1e-12
     assert 0.0 <= res.tail_bound <= RunConfig().norm_tol
     doc = res.to_dict()
@@ -178,14 +175,25 @@ def test_coefficient_residual_agrees_with_sampled_recovery(space, monkeypatch):
     assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-3, 5e-4]))) < 1e-8
 
 
-def test_cross_check_disagreement_is_refused_with_its_gap():
-    # on the coarse 24 x 64 grid the sampled recovery of h o f and the
-    # coefficient-space composition agree to a few 1e-12, above coeff_tol 1e-12
-    cfg = RunConfig().with_updates(n_rad=24, n_ang=64, coeff_tol=1e-12)
-    with pytest.raises(ResolutionError, match="sampled cross-check") as info:
+def test_cross_check_disagreement_is_refused_with_its_gap(monkeypatch):
+    # a disagreement planted in the closed-form coefficients above the
+    # controlled degrees moves neither the shift rows nor, beyond 1e-10, the
+    # norm; the cross-check reads it back, scaled by 0.9^k
+    cfg = RunConfig()
+    k, planted = 10, 100 * cfg.coeff_tol
+    real = deform._composed
+
+    def planted_at_k(problem, terms):
+        c, tail = real(problem, terms)
+        return c + planted * (np.arange(len(c)) == k), tail
+
+    monkeypatch.setattr(deform, "_composed", planted_at_k)
+    with pytest.raises(ResolutionError, match=r"sampled cross-check from the \d+-point "
+                                              r"boundary ring") as info:
         solve_deformation(_nonlinear_problem(hardy(), cfg))
     gap = float(re.search(r"residual by (\S+),", str(info.value)).group(1))
-    assert gap > cfg.coeff_tol
+    assert gap == pytest.approx(planted * 0.9 ** k, rel=1e-3)
+    assert f"coeff_tol {cfg.coeff_tol:.1e}" in str(info.value)
 
 
 def test_cross_check_that_is_not_a_number_is_refused(monkeypatch):
@@ -200,8 +208,8 @@ def test_cross_check_that_is_not_a_number_is_refused(monkeypatch):
 @pytest.mark.parametrize("scale, disk", [(100.0, Disk(190.0, 80.0)), (1e-3, Disk(2.2e-3, 1.1e-3))],
                          ids=["large", "tiny"])
 def test_cross_check_holds_on_large_and_tiny_disks(scale, disk):
-    # Q is about 170 at 1.25 R: 80^Q overflows and (1.1e-3)^Q underflows
-    # unless the grid's far sum takes its moments in units of the outermost ring
+    # the boundary ring's sum takes hundreds of moments Q: 80^Q overflows and
+    # (1.1e-3)^Q underflows unless they are taken in units of the ring radius
     f = HoloSeries(scale * np.array([0.0, 1.0, 0.01, -0.005j, 0.003, 0.001]), radius=np.inf)
     prob = DeformationProblem(hardy(), f, disk, 1, 2, (1e-3 * scale,), 1e-4 * scale,
                               RunConfig())
@@ -259,12 +267,11 @@ def test_root_above_kappa_max_is_refused_with_its_sup():
 
 def test_map_off_the_affine_solve_is_refused_with_its_residual(monkeypatch):
     # R / |c - c0| = 0.897: the affine solve and the built map read the same
-    # closed-form moments, so once the grid resolves the cross-check the map
-    # meets the solve at rounding; a map composed off the solve is refused
-    # with its miss, which names no grid
+    # closed-form moments, so the map meets the solve at rounding; a map
+    # composed off the solve is refused with its miss, which names no grid
     cfg = RunConfig().with_updates(coeff_tol=1e-9)
     disk = Disk(22.3 + 0j, 20.0)
-    res = solve_deformation(_nonlinear_problem(hardy(), cfg.with_updates(n_ang=256), disk=disk))
+    res = solve_deformation(_nonlinear_problem(hardy(), cfg, disk=disk))
     assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-3, 5e-4]))) <= 1e-15
     real = deform._composed
 
@@ -280,24 +287,66 @@ def test_map_off_the_affine_solve_is_refused_with_its_residual(monkeypatch):
     assert "n_ang" not in str(info.value)
 
 
-def test_worked_f_solves_or_is_refused_on_wide_disks():
-    # the solve reads mu's closed-form moments; the cross-check sums mu's
-    # grid, which resolves angular modes up to n_ang / 2, while the moments
-    # decay like (R / |c - c0|)^j, so on the two widest disks the default grid
-    # is refused with its gap and shape, and n_ang 256 solves at rounding
+def test_worked_f_solves_on_wide_disks():
+    # the cross-check reads mu on its boundary circle, not on a grid, so up
+    # to R / |c - c0| = 0.897 the default config solves, with the cross-check
+    # and the shift miss both at rounding
     cfg = RunConfig()
-    res = solve_deformation(_nonlinear_problem(hardy(), disk=Disk(6.3 + 0j, 5.0)))
-    assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-3, 5e-4]))) <= 1e-15
-    assert abs(res.achieved_a - 1e-4) <= cfg.norm_tol
-    for disk in [Disk(11.7 + 0j, 10.0), Disk(22.3 + 0j, 20.0)]:
-        with pytest.raises(ResolutionError, match="cross-check on the 48x128 grid") as info:
-            solve_deformation(_nonlinear_problem(hardy(), disk=disk))
-        gap = float(re.search(r"residual by (\S+),", str(info.value)).group(1))
-        assert gap > cfg.coeff_tol
-        assert "raise n_ang" in str(info.value)
-        res = solve_deformation(_nonlinear_problem(hardy(), cfg.with_updates(n_ang=256), disk=disk))
+    for disk in [Disk(6.3 + 0j, 5.0), Disk(11.7 + 0j, 10.0), Disk(22.3 + 0j, 20.0)]:
+        res = solve_deformation(_nonlinear_problem(hardy(), disk=disk))
+        assert res.sampled_check <= 1e-15
         assert np.max(np.abs(np.array(res.achieved_d) - np.array([1e-3, 5e-4]))) <= 1e-15
         assert abs(res.achieved_a - 1e-4) <= cfg.norm_tol
+
+
+def test_boundary_ring_resolves_the_samples_nearest_the_disk():
+    # on Disk(6.3, 5) the poles sit at R / |c - c0| = 0.79 but the check's
+    # samples come within R / 0.93: a ring sized by the poles alone (256
+    # points) aliases its trapezoid sum at 2.9e-12, above this coeff_tol
+    cfg = RunConfig().with_updates(coeff_tol=1e-13)
+    res = solve_deformation(_nonlinear_problem(hardy(), cfg, disk=Disk(6.3 + 0j, 5.0)))
+    assert res.sampled_check <= cfg.coeff_tol
+
+
+@pytest.mark.parametrize("disk", [Disk(0.3 - 0.4j, 1.2), Disk(2.2 + 0j, 1.1),
+                                  Disk(3.0 + 1.0j, 0.3), Disk(22.3 + 0j, 20.0)])
+def test_boundary_integral_matches_the_closed_form(disk):
+    # the cross-check's T from mu's circle values alone against the
+    # closed-form antiderivative with its log1p recurrence, 1.05-3.05 R out
+    rng = np.random.default_rng(11)
+    c, R = disk.center, disk.radius
+    terms = [(complex(*rng.standard_normal(2)),
+              c + R * rng.uniform(1.3, 2.5) * np.exp(2j * np.pi * rng.random()), k)
+             for k in (1, 2, 3)]
+    w = c + R * np.linspace(1.05, 3.05, 50) * np.exp(2j * np.pi * rng.random(50))
+    T, M = deform._boundary_T(disk, terms, w)
+    ref = transforms._exterior_terms(disk, terms, R / (w - c))
+    assert np.max(np.abs(T - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert M >= 64 and M & (M - 1) == 0
+
+
+@pytest.mark.parametrize("k", [8, 10])
+def test_boundary_ring_grows_with_the_pole_order(k):
+    # a pole of order k at 1.2 R makes mu's circle spectrum fall like
+    # n^(k-1) / 1.2^n, so a ring sized by 1.2^-M alone (256 points) aliases
+    # 150 (k = 8) to 4000 (k = 10) times the rounding scale eps R max |mu|
+    disk = Disk(2.2 + 0j, 1.1)
+    c, R = disk.center, disk.radius
+    terms = [(1.0, c + 1.2 * R * np.exp(0.3j), k)]
+    w = c + R * np.linspace(2.0, 3.0, 50) * np.exp(0.7j * np.arange(50))
+    T, _ = deform._boundary_T(disk, terms, w)
+    ref = transforms._exterior_terms(disk, terms, R / (w - c))
+    assert np.max(np.abs(T - ref)) <= np.finfo(float).eps * R * (0.2 * R) ** -k
+
+
+def test_boundary_ring_above_its_cap_is_refused_naming_t():
+    # a sample 1e-4 R off the circle needs about 3.7e5 ring points
+    disk = Disk(2.2 + 0j, 1.1)
+    w = np.array([disk.center + 1.0001 * disk.radius])
+    with pytest.raises(ResolutionError, match="more than 65536 points") as info:
+        deform._boundary_T(disk, [(0.1, 0j, 1)], w)
+    t = float(re.search(r"at t = (\S+),", str(info.value)).group(1))
+    assert t == pytest.approx(1 / 1.0001)
 
 
 @pytest.mark.parametrize("disk", [Disk(2.2 + 0j, 1.1), Disk(3.0 + 1.0j, 0.3),

@@ -132,8 +132,8 @@ def test_report_config_round_trips(tmp_path, capsys):
 
 def test_direct_grid_sum_runs_on_deform_only(tmp_path, capsys, monkeypatch):
     # perfbench's run test requires kernels.cauchy_sum pairs on traced deform;
-    # its one caller is deform's cross-check, and verify on pole terms needs
-    # no grid sum at all
+    # its one caller is the boundary ring of deform's cross-check, and verify
+    # on pole terms needs no such sum at all
     pairs = []
     real = qcdeform.kernels.cauchy_sum
 

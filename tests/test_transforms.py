@@ -319,6 +319,28 @@ def test_inward_shells_match_a_composite_rule_on_a_random_profile():
     assert np.all(np.max(np.abs(rows @ g - ref), axis=1) <= 1e-12 * scale)
 
 
+def test_outward_shells_match_a_composite_rule_on_a_random_profile():
+    # reference: 400 uniform panels of 20 Gauss nodes in log radius on [s, 1],
+    # applied to the same degree-47 interpolant of a seeded random profile;
+    # its steepest part, near t = 1, sets the panels the smallest s needs
+    n_rad, n_ang = 48, 128
+    t, _ = gauss_legendre_01(n_rad)
+    ks = _signed_freqs(n_ang)
+    up = ks >= 1
+    k, rows = ks[up][:, None], _mode_operators(n_rad, n_ang)[up]
+    g = np.random.default_rng(0).standard_normal(n_rad)
+    x, w = np.polynomial.legendre.leggauss(20)
+    ref = np.empty((len(k), n_rad))
+    for i, s in enumerate(t):
+        edges = np.log(s) * (1.0 - np.arange(401) / 400)
+        half = 0.5 * np.diff(edges)
+        lam = (edges[:-1, None] + half[:, None] * (1.0 + x)).ravel()
+        ref[:, i] = ((half[:, None] * w).ravel() * (s / np.exp(lam)) ** (k - 2)) @ (
+            barycentric_matrix(t, np.exp(lam)) @ g)
+    scale = np.max(np.abs(ref), axis=1)
+    assert np.all(np.max(np.abs(rows @ g - ref), axis=1) <= 1e-12 * scale)
+
+
 @pytest.mark.parametrize("n_rad, n_ang", [(48, 128), (24, 64)])
 def test_inward_shells_of_monomials_are_exact(n_rad, n_ang):
     # D_k(s) of t^p is s^p / (p + 2 - k); p = n_rad - 1 is the top degree
